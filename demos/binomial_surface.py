@@ -6,15 +6,15 @@ and exactly zero for the degenerate members.
 """
 
 import numpy as np
-from scipy.stats import binom
 
 from lne import lne
+from lne.cli import binomial_weights
 
 GRID = [0.1, 0.3, 1.0, 3.0, 10.0]
 
 
 def surface(n, p):
-    w = binom.pmf(np.arange(n + 1), n, p)
+    w = binomial_weights(n, p)
     return np.array([[float(lne(w, (a, b))) for b in GRID] for a in GRID])
 
 
@@ -29,6 +29,6 @@ for n, p in ((10, 0.1), (10, 0.3), (10, 0.5)):
 
 print("success probability sweep at fixed orders (alpha=2, beta=1), n=10:")
 for p in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-    w = binom.pmf(np.arange(11), 10, p)
+    w = binomial_weights(10, p)
     print(f"  p={p:3.1f}: {float(lne(w, (2.0, 1.0))):.6f}")
 print("zero at the degenerate ends, maximal at p = 1/2, symmetric in between")

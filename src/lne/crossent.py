@@ -24,9 +24,8 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .numkit import TOL_MASS, EntropyParams, as_weights, escort, log_norm
+from .numkit import TOL_MASS, as_weights, log_norm, lse
 from .entropy import _as_params
 
 __all__ = ["SupportError", "CrossEntropyValue", "lnce", "relative_entropy_bridge"]
@@ -87,20 +86,25 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     if (prm.equal_orders or alpha > beta) and np.any(psup & (q == 0)):
         raise SupportError(int(np.nonzero(psup & (q == 0))[0][0]))
 
-    e = escort(p, beta)
-    log_sum_pb = beta * log_norm(p, beta)
+    logp = np.log(p[psup])
+    t = beta * logp
+    psi = lse(t)
+    log_sum_pb = beta * (psi / beta)  # beta * log_norm(p, beta), same rounding
     if prm.equal_orders:
-        ratio = np.log(p[psup]) - np.log(q[psup])
-        val = beta * float(e[psup] @ ratio) - log_sum_pb
+        e = np.exp(t - psi)
+        val = beta * float(e @ (logp - np.log(q[psup]))) - log_sum_pb
     else:
-        both = psup & (q > 0)
+        both = q[psup] > 0
         if not np.any(both):
             # alpha < beta with disjoint supports: the defining sum is
             # empty and the value diverges; refuse rather than return inf.
             raise SupportError(int(np.nonzero(psup)[0][0]))
         d = alpha - beta
-        terms = np.log(e[both]) + d * (np.log(p[both]) - np.log(q[both]))
-        val = (beta / d) * float(logsumexp(terms)) - log_sum_pb
+        # the log of the beta-escort, formed in log space: an escort
+        # entry that underflows would otherwise drop a dominant term
+        log_e = t[both] - log_sum_pb
+        terms = log_e + d * (logp[both] - np.log(q[psup][both]))
+        val = (beta / d) * lse(terms) - log_sum_pb
     return CrossEntropyValue(val, prm, q.sum())
 
 

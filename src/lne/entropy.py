@@ -20,16 +20,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .numkit import (
     EPS_ORDER,
     TOL_MASS,
     EntropyParams,
+    _check_order,
+    _log_norm,
+    _log_support,
     as_weights,
-    escort,
     is_probability,
-    log_norm,
+    lse,
 )
 
 __all__ = [
@@ -68,9 +69,11 @@ def _as_params(params) -> EntropyParams:
     return EntropyParams(alpha, beta)
 
 
-def _shannon_of_probability(u) -> float:
+def _shannon(w) -> float:
+    mass = w.sum()
+    u = w / mass
     pos = u[u > 0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(-(pos * np.log(pos)).sum()) - math.log(mass)
 
 
 def shannon(w) -> EntropyValue:
@@ -80,10 +83,7 @@ def shannon(w) -> EntropyValue:
     not the entropy of the mass-normalized vector: on sub-probabilities
     it differs from it by -log W and is not scale invariant.
     """
-    w = as_weights(w)
-    mass = w.sum()
-    u = w / mass
-    return EntropyValue(_shannon_of_probability(u) - math.log(mass), "shannon")
+    return EntropyValue(_shannon(as_weights(w)), "shannon")
 
 
 def renyi(w, alpha) -> EntropyValue:
@@ -91,15 +91,12 @@ def renyi(w, alpha) -> EntropyValue:
 
     Orders within EPS_ORDER of 1 route to the Shannon limit.
     """
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
+    alpha = _check_order(alpha, "alpha")
     w = as_weights(w)
     if abs(alpha - 1.0) <= EPS_ORDER:
-        return EntropyValue(shannon(w), "renyi", (alpha,))
+        return EntropyValue(_shannon(w), "renyi", (alpha,))
     mass = w.sum()
-    u = w / mass
-    lsum = logsumexp(alpha * np.log(u[u > 0]))
+    lsum = lse(alpha * _log_support(w / mass))
     return EntropyValue(lsum / (1.0 - alpha) - math.log(mass), "renyi", (alpha,))
 
 
@@ -116,9 +113,8 @@ def tsallis(w, q) -> EntropyValue:
     if not is_probability(w):
         raise ValueError(f"tsallis entropy requires a probability vector, mass={w.sum()}")
     if abs(q - 1.0) <= EPS_ORDER:
-        return EntropyValue(shannon(w), "tsallis", (q,))
-    pos = w[w > 0]
-    s = float(np.exp(q * np.log(pos)).sum())
+        return EntropyValue(_shannon(w), "tsallis", (q,))
+    s = float(np.exp(q * _log_support(w)).sum())
     return EntropyValue((1.0 - s) / (q - 1.0), "tsallis", (q,))
 
 
@@ -129,15 +125,11 @@ def kapur(w, alpha, beta) -> EntropyValue:
     Undefined on the diagonal; pairs within EPS_ORDER of alpha == beta
     are rejected (the limit is the Aczel-Daroczy entropy).
     """
-    alpha, beta = float(alpha), float(beta)
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not np.isfinite(v) or v <= 0:
-            raise ValueError(f"{name} must be a finite positive real, got {v!r}")
+    alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if abs(alpha - beta) <= EPS_ORDER:
         raise ValueError("kapur entropy needs alpha != beta; use aczel_daroczy for the limit")
-    w = as_weights(w)
-    logp = np.log(w[w > 0])
-    val = (logsumexp(beta * logp) - logsumexp(alpha * logp)) / (alpha - beta)
+    logw = _log_support(as_weights(w))
+    val = (lse(beta * logw) - lse(alpha * logw)) / (alpha - beta)
     return EntropyValue(val, "kapur", (alpha, beta))
 
 
@@ -147,20 +139,25 @@ def norm_entropy(w, alpha, beta) -> EntropyValue:
 
     Symmetric in (alpha, beta); rejects the diagonal like `kapur`.
     """
-    alpha, beta = float(alpha), float(beta)
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not np.isfinite(v) or v <= 0:
-            raise ValueError(f"{name} must be a finite positive real, got {v!r}")
+    alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if abs(alpha - beta) <= EPS_ORDER:
         raise ValueError("norm entropy needs alpha != beta; its scaled limit is aczel_daroczy")
-    w = as_weights(w)
+    logw = _log_support(as_weights(w))
     val = (
         alpha
         * beta
         / (alpha - beta)
-        * (math.exp(log_norm(w, beta)) - math.exp(log_norm(w, alpha)))
+        * (math.exp(_log_norm(logw, beta)) - math.exp(_log_norm(logw, alpha)))
     )
     return EntropyValue(val, "norm", (alpha, beta))
+
+
+def _escort_moment(logw, beta):
+    """(AD_beta, psi(beta)) from one power sum: the beta-escort mean of
+    -log w and psi(beta) = log sum w^beta."""
+    t = beta * logw
+    psi = lse(t)
+    return -float(np.exp(t - psi) @ logw), psi
 
 
 def aczel_daroczy(w, beta) -> EntropyValue:
@@ -169,13 +166,21 @@ def aczel_daroczy(w, beta) -> EntropyValue:
     The common alpha -> beta limit of the Kapur and (scaled) norm
     entropies; beta = 1 gives Shannon on probability vectors.
     """
-    beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be a finite positive real, got {beta!r}")
-    w = as_weights(w)
-    e = escort(w, beta)
-    pos = w > 0
-    return EntropyValue(-float(e[pos] @ np.log(w[pos])), "aczel_daroczy", (beta,))
+    beta = _check_order(beta, "beta")
+    ad, _ = _escort_moment(_log_support(as_weights(w)), beta)
+    return EntropyValue(ad, "aczel_daroczy", (beta,))
+
+
+def _lne(logw, p) -> float:
+    if p.equal_orders:
+        ad, psi = _escort_moment(logw, p.beta)
+        return p.beta * (ad + psi / p.beta)
+    return (
+        p.alpha
+        * p.beta
+        / (p.alpha - p.beta)
+        * (_log_norm(logw, p.beta) - _log_norm(logw, p.alpha))
+    )
 
 
 def lne(w, params) -> EntropyValue:
@@ -186,27 +191,16 @@ def lne(w, params) -> EntropyValue:
     beta * [AD_beta + log||w||_beta].
     """
     p = _as_params(params)
-    w = as_weights(w)
-    if p.equal_orders:
-        val = p.beta * (float(aczel_daroczy(w, p.beta)) + log_norm(w, p.beta))
-    else:
-        val = (
-            p.alpha
-            * p.beta
-            / (p.alpha - p.beta)
-            * (log_norm(w, p.beta) - log_norm(w, p.alpha))
-        )
+    val = _lne(_log_support(as_weights(w)), p)
     return EntropyValue(val, "lne", (p.alpha, p.beta))
 
 
 def lne_min_entropy_limit(w, beta) -> EntropyValue:
     """The alpha -> infinity limit of the logarithmic norm entropy,
     beta * [-log(max w) + log||w||_beta]: a scale-invariant min-entropy."""
-    beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be a finite positive real, got {beta!r}")
+    beta = _check_order(beta, "beta")
     w = as_weights(w)
-    val = beta * (log_norm(w, beta) - math.log(w.max()))
+    val = beta * (_log_norm(_log_support(w), beta) - math.log(w.max()))
     return EntropyValue(val, "min_entropy_scaled", (beta,))
 
 
@@ -230,11 +224,12 @@ def gm_subadditivity_rhs(p, q, params) -> float:
     q = as_weights(q, "q")
     if p.sum() + q.sum() > 1.0 + TOL_MASS:
         raise ValueError(f"combined mass {p.sum() + q.sum()} exceeds 1")
+    logp, logq = _log_support(p), _log_support(q)
     lr = 1.0 - prm.alpha / prm.beta
-    lw_p = prm.alpha * log_norm(p, prm.beta)
-    lw_q = prm.alpha * log_norm(q, prm.beta)
-    ep = float(lne(p, prm))
-    eq = float(lne(q, prm))
-    num = logsumexp([lw_p + lr * ep, lw_q + lr * eq])
-    den = logsumexp([lw_p, lw_q])
-    return float((num - den) / lr)
+    lw_p = prm.alpha * _log_norm(logp, prm.beta)
+    lw_q = prm.alpha * _log_norm(logq, prm.beta)
+    ep = _lne(logp, prm)
+    eq = _lne(logq, prm)
+    num = lse([lw_p + lr * ep, lw_q + lr * eq])
+    den = lse([lw_p, lw_q])
+    return (num - den) / lr

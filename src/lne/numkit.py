@@ -5,9 +5,12 @@ least one positive entry.  Probability and sub-probability vectors are
 the special cases with total mass 1 and <= 1; most routines here accept
 the general case because the quantities they feed are scale invariant.
 
-All power sums are evaluated in log space with max-shifted exponents so
-that orders up to a few hundred neither underflow nor overflow, and
-zero entries are dropped everywhere (the 0*log(0) := 0 convention).
+All power sums are evaluated in log space by one kernel, `lse`, over
+psi(gamma) = gamma * log w on the positive support, so that orders up
+to a few hundred neither underflow nor overflow, and zero entries are
+dropped everywhere (the 0*log(0) := 0 convention).  The private helpers
+below take already-validated arrays, so each public function validates
+its input and takes the log of its support once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Mass tolerance for (sub-)probability membership and the window around
 # alpha == beta (and q == 1) inside which the limiting formulas are used.
@@ -30,6 +32,7 @@ __all__ = [
     "total_mass",
     "is_probability",
     "is_subprobability",
+    "lse",
     "log_norm",
     "escort",
     "product_compose",
@@ -96,17 +99,57 @@ def _check_order(gamma, name="gamma") -> float:
     return gamma
 
 
+def lse(a) -> float:
+    """log(sum(exp(a))) of a nonempty 1-D array, accurate and overflow-free.
+
+    The entries tying with the maximum are taken out of the sum and added
+    back through log1p (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41(4), 2021).  -inf entries contribute nothing; a maximum of +inf,
+    -inf or nan is returned as is.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return float(a_max)
+    tie = a == a_max
+    k = np.count_nonzero(tie)
+    # zero the tied terms rather than dropping them: numpy's pairwise sum
+    # groups terms by position, so the full length keeps every rounding
+    # equal to that of the usual library logsumexp
+    e = np.exp(a - a_max)
+    e[tie] = 0.0
+    s = e.sum()
+    if s != 0.0:
+        s = s / k
+    return float(np.log1p(s) + np.log(k) + a_max)
+
+
+def _log_support(w) -> np.ndarray:
+    """log of the positive entries of a validated weight vector."""
+    return np.log(w[w > 0])
+
+
+def _log_norm(logw, gamma) -> float:
+    return lse(gamma * logw) / gamma
+
+
+def _escort(w, beta) -> np.ndarray:
+    out = np.zeros_like(w)
+    pos = w > 0
+    t = beta * np.log(w[pos])
+    out[pos] = np.exp(t - lse(t))
+    return out
+
+
 def log_norm(w, gamma) -> float:
     """log of the gamma-norm, log[(sum_i w_i^gamma)^(1/gamma)].
 
-    Computed as logsumexp(gamma * log w) / gamma over the positive
-    entries, which keeps orders like gamma = 100 on tiny weights exact
-    to machine precision.
+    Computed as lse(gamma * log w) / gamma over the positive entries,
+    which keeps orders like gamma = 100 on tiny weights exact to machine
+    precision.
     """
     gamma = _check_order(gamma)
-    w = as_weights(w)
-    logp = np.log(w[w > 0])
-    return float(logsumexp(gamma * logp) / gamma)
+    return _log_norm(_log_support(as_weights(w)), gamma)
 
 
 def escort(w, beta) -> np.ndarray:
@@ -115,12 +158,7 @@ def escort(w, beta) -> np.ndarray:
     Always a probability vector; zero entries of ``w`` stay zero.
     """
     beta = _check_order(beta, "beta")
-    w = as_weights(w)
-    out = np.zeros_like(w)
-    pos = w > 0
-    t = beta * np.log(w[pos])
-    out[pos] = np.exp(t - logsumexp(t))
-    return out
+    return _escort(as_weights(w), beta)
 
 
 def product_compose(p, q) -> np.ndarray:

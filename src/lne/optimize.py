@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .numkit import EPS_ORDER, EntropyParams, as_weights, escort
+from .numkit import EPS_ORDER, EntropyParams, _check_order, _escort, as_weights, lse
 
 __all__ = [
     "InfeasibleError",
@@ -101,10 +100,7 @@ class ConstraintSet:
                     f"target {r} = {t[r]} outside the open range ({lo}, {hi}) of g_{r}"
                 )
         if self.q_index is not None:
-            qi = float(self.q_index)
-            if not np.isfinite(qi) or qi <= 0:
-                raise ValueError(f"q_index must be a finite positive real, got {qi!r}")
-            object.__setattr__(self, "q_index", qi)
+            object.__setattr__(self, "q_index", _check_order(self.q_index, "q_index"))
         g.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "g", g)
@@ -169,14 +165,12 @@ def normalized_q_expectation(w, g, q) -> float:
     Scale invariant in ``w``; the ordinary mean at q = 1 on probability
     vectors.
     """
-    q = float(q)
-    if not np.isfinite(q) or q <= 0:
-        raise ValueError(f"q must be a finite positive real, got {q!r}")
+    q = _check_order(q, "q")
     w = as_weights(w)
     g = np.asarray(g, dtype=float)
     if g.shape != w.shape:
         raise ValueError(f"g has shape {g.shape}, expected {w.shape}")
-    return float(escort(w, q) @ g)
+    return float(_escort(w, q) @ g)
 
 
 def _check_setup(n, constraints, params, cfg):
@@ -224,7 +218,7 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
 
     def residual(lam):
         lw, clamped = _log_weights(lam, dg, d, log_prior)
-        norm = logsumexp(beta * lw)
+        norm = lse(beta * lw)
         if not np.isfinite(norm):
             return None, lw, clamped
         e = np.exp(beta * lw - norm)
@@ -326,7 +320,7 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
 
     res_norm, lam, R, iters, start = best
     lw, clamped = _log_weights(lam, dg, d, log_prior)
-    log_z = logsumexp(lw)
+    log_z = lse(lw)
     p = np.exp(lw - log_z)
     converged = res_norm <= cfg.tol_residual
     report = SolverReport(

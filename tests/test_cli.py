@@ -1,11 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from lne import EntropyParams, lne
-from lne.cli import main
+from lne.cli import _fmt, binomial_weights, main
 
 
 def run_cli(capsys, *argv):
@@ -126,12 +128,49 @@ class TestSurfaceCommand:
 
     def test_degenerate_p(self, capsys):
         for p in ("0", "1"):
+            one_hot = np.zeros(11)
+            one_hot[0 if p == "0" else 10] = 1.0
+            assert np.array_equal(binomial_weights(10, float(p)), one_hot)
             code, out, _ = run_cli(
                 capsys, "surface", "--n", "10", "--p", p, "--alpha", "1,2", "--beta", "1,2"
             )
             assert code == 0
             _, rows = parse_csv(out)
             assert all(r[2] == 0.0 for r in rows)
+
+    def test_rows_match_binomial_pmf(self, capsys):
+        # The ratio-recurrence weights and scipy's pmf differ in the last
+        # few ulps, so a row can round its 12th digit the other way; such
+        # a row must still be right at print precision (one unit in the
+        # 12th significant digit of max(|value|, 1)) by a 50-digit value.
+        import mpmath
+        from scipy.stats import binom
+
+        rng = np.random.default_rng(3)
+        flipped = 0
+        for _ in range(300):
+            n, p = int(rng.integers(1, 401)), float(rng.uniform(0.0, 1.0))
+            alphas, betas = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=(2, 3))).tolist()
+            code, out, _ = run_cli(
+                capsys, "surface", "--n", str(n), "--p", repr(p),
+                "--alpha", ",".join(map(repr, alphas)), "--beta", ",".join(map(repr, betas)),
+            )
+            assert code == 0
+            got = out.splitlines()[1:]
+            w = binom.pmf(np.arange(n + 1), n, p)
+            pairs = [(a, b) for a in alphas for b in betas]
+            for row, (a, b) in zip(got, pairs):
+                if row == f"{_fmt(a)},{_fmt(b)},{_fmt(lne(w, EntropyParams(a, b)))}":
+                    continue
+                flipped += 1
+                with mpmath.workdps(50):
+                    pm = mpmath.mpf(p)
+                    exact = [mpmath.binomial(n, k) * pm**k * (1 - pm) ** (n - k) for k in range(n + 1)]
+                    lnorm = lambda g: mpmath.log(mpmath.fsum(x**g for x in exact)) / g
+                    ref = float(a * b / (a - b) * (lnorm(mpmath.mpf(b)) - lnorm(mpmath.mpf(a))))
+                value = float(row.split(",")[2])
+                assert abs(value - ref) <= 1e-11 * max(abs(ref), 1.0), (n, p, a, b)
+        assert flipped <= 5
 
     def test_matches_library(self, capsys):
         code, out, _ = run_cli(
@@ -161,6 +200,18 @@ class TestSurfaceCommand:
         assert code == 2
         code, _, _ = run_cli(capsys, "surface", "--n", "3", "--p", "1.5", "--alpha", "1", "--beta", "1")
         assert code == 2
+
+
+class TestImports:
+    def test_cli_import_pulls_in_no_scipy(self):
+        code = (
+            "import sys, lne.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestSolverCommands:

@@ -106,6 +106,24 @@ class TestLnce:
         with pytest.warns(UserWarning, match="masses differ"):
             lnce(p, q, (2.0, 1.0), require_equal_mass=False)
 
+    def test_underflowing_escort_entry_keeps_its_term(self):
+        # the beta-escort of the 1e-48 entry underflows to 0 at these
+        # orders while its (p/q)^(alpha-beta) factor dominates the sum
+        import mpmath
+
+        p, q = [0.5, 0.5, 1e-48], [0.05, 0.05, 0.9]
+        for alpha, beta in ((0.5, 90.0), (1.0, 100.0)):
+            with mpmath.workdps(50):
+                P, Q = [mpmath.mpf(x) for x in p], [mpmath.mpf(x) for x in q]
+                a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+                spb = mpmath.fsum(x**b for x in P)
+                s = mpmath.fsum(x**b / spb * (x / y) ** (a - b) for x, y in zip(P, Q))
+                exact = float(b / (a - b) * mpmath.log(s) - mpmath.log(spb))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = float(lnce(p, q, (alpha, beta)))
+            assert abs(got - exact) <= 1e-12 * abs(exact)
+
     def test_branch_continuity(self):
         rng = np.random.default_rng(34)
         for _ in range(25):

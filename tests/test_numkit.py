@@ -14,6 +14,7 @@ from lne import (
     product_compose,
     robin_hood_transfer,
 )
+from lne.numkit import lse
 
 
 class TestWeightValidation:
@@ -49,6 +50,54 @@ class TestEntropyParams:
         assert EntropyParams(2.0, 2.0).equal_orders
         assert EntropyParams(2.0, 2.0 + 5e-9).equal_orders
         assert not EntropyParams(2.0, 2.0 + 1e-7).equal_orders
+
+
+def _same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestLse:
+    """The kernel is a port of the real 1-D path of scipy's logsumexp;
+    scipy stays a test-only reference and must agree bit for bit."""
+
+    def test_matches_reference_bit_for_bit(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(41)
+        for i in range(3000):
+            n = int(rng.integers(1, 200)) if i % 100 else 100_000
+            kind = i % 5
+            if kind == 0:  # wide magnitudes
+                a = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            elif kind == 1:  # many ties with the maximum
+                a = np.round(rng.normal(size=n) * 2.0)
+            elif kind == 2:  # -inf entries (zero weights)
+                a = rng.normal(size=n)
+                a[rng.random(n) < 0.3] = -np.inf
+                a[0] = 0.0
+            elif kind == 3:  # integers
+                a = rng.integers(-5, 5, size=n)
+            else:  # gamma * log w on weights down to 1e-300
+                a = rng.uniform(0.05, 100.0) * np.log(10.0 ** rng.uniform(-300, 0, size=n))
+            assert _same_bits(lse(a), logsumexp(a)), (i, n)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [0.3],
+            [-np.inf, 2.0],
+            [-np.inf, -np.inf],
+            [np.inf, 1.0],
+            [np.inf, -np.inf],
+            [np.nan, 1.0],
+            [1e308, 1e308],
+            [5.0, 5.0, 5.0],
+        ],
+    )
+    def test_edge_cases_match_reference(self, a):
+        from scipy.special import logsumexp
+
+        assert _same_bits(lse(a), logsumexp(a))
 
 
 class TestLogNorm:
