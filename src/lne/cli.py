@@ -190,9 +190,6 @@ def _solver_config(problem, args):
         fields["tol_residual"] = args.tol
     if args.seed is not None:
         fields["seed"] = args.seed
-    for key in ("max_iter", "restarts", "seed"):
-        if key in fields:
-            fields[key] = int(fields[key])
     return SolverConfig(**fields)
 
 
@@ -405,7 +402,7 @@ def _build_parser():
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--alpha", type=float, help="order (overrides the file)")
         p.add_argument("--beta", type=float, help="order (overrides the file)")
-        p.add_argument("--seed", type=int, help="multi-start seed (overrides the file)")
+        p.add_argument("--seed", type=int, help="ignored (solves are deterministic)")
         p.add_argument("--tol", type=float, help="residual tolerance (overrides the file)")
         common(p)
         p.set_defaults(func=cmd_maxent if name == "maxent" else cmd_minxent)

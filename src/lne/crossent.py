@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .numkit import TOL_MASS, as_weights, log_norm, lse
+from .numkit import TOL_MASS, _log_norm, _log_support, as_weights, lse
 from .entropy import _as_params
 
 __all__ = ["SupportError", "CrossEntropyValue", "lnce", "relative_entropy_bridge"]
@@ -63,7 +63,7 @@ def _check_masses(p, q, require_equal_mass):
         msg = f"total masses differ: W(p)={p.sum()}, W(q)={q.sum()}"
         if require_equal_mass:
             raise ValueError(msg)
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(msg, stacklevel=4)
 
 
 def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
@@ -77,6 +77,11 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     prm = _as_params(params)
     p = as_weights(p, "p")
     q = as_weights(q, "q")
+    return CrossEntropyValue(_lnce(p, q, prm, require_equal_mass), prm, q.sum())
+
+
+def _lnce(p, q, prm, require_equal_mass) -> float:
+    """`lnce` on validated weight vectors."""
     if p.size != q.size:
         raise ValueError(f"length mismatch: {p.size} vs {q.size}")
     _check_masses(p, q, require_equal_mass)
@@ -105,12 +110,14 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
         log_e = t[both] - log_sum_pb
         terms = log_e + d * (logp[both] - np.log(q[psup][both]))
         val = (beta / d) * lse(terms) - log_sum_pb
-    return CrossEntropyValue(val, prm, q.sum())
+    return val
 
 
 def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
     """Relative (beta, alpha)-entropy recovered from the cross-entropy via
     CE_{a,b}(P, Q) = a RE_{b,a}(P, Q) + b log||Q||_b."""
     prm = _as_params(params)
-    ce = lnce(p, q, prm, require_equal_mass=require_equal_mass)
-    return (float(ce) - prm.beta * log_norm(q, prm.beta)) / prm.alpha
+    p = as_weights(p, "p")
+    q = as_weights(q, "q")
+    ce = _lnce(p, q, prm, require_equal_mass) + 0.0  # as CrossEntropyValue rounds -0.0
+    return (ce - prm.beta * _log_norm(_log_support(q), prm.beta)) / prm.alpha

@@ -171,16 +171,16 @@ def aczel_daroczy(w, beta) -> EntropyValue:
     return EntropyValue(ad, "aczel_daroczy", (beta,))
 
 
+def _lne_off_diagonal(p, norm_beta, norm_alpha) -> float:
+    """lne for alpha != beta from log||w||_beta and log||w||_alpha."""
+    return p.alpha * p.beta / (p.alpha - p.beta) * (norm_beta - norm_alpha)
+
+
 def _lne(logw, p) -> float:
     if p.equal_orders:
         ad, psi = _escort_moment(logw, p.beta)
         return p.beta * (ad + psi / p.beta)
-    return (
-        p.alpha
-        * p.beta
-        / (p.alpha - p.beta)
-        * (_log_norm(logw, p.beta) - _log_norm(logw, p.alpha))
-    )
+    return _lne_off_diagonal(p, _log_norm(logw, p.beta), _log_norm(logw, p.alpha))
 
 
 def lne(w, params) -> EntropyValue:
@@ -226,10 +226,12 @@ def gm_subadditivity_rhs(p, q, params) -> float:
         raise ValueError(f"combined mass {p.sum() + q.sum()} exceeds 1")
     logp, logq = _log_support(p), _log_support(q)
     lr = 1.0 - prm.alpha / prm.beta
-    lw_p = prm.alpha * _log_norm(logp, prm.beta)
-    lw_q = prm.alpha * _log_norm(logq, prm.beta)
-    ep = _lne(logp, prm)
-    eq = _lne(logq, prm)
+    nb_p = _log_norm(logp, prm.beta)
+    nb_q = _log_norm(logq, prm.beta)
+    lw_p = prm.alpha * nb_p
+    lw_q = prm.alpha * nb_q
+    ep = _lne_off_diagonal(prm, nb_p, _log_norm(logp, prm.alpha))
+    eq = _lne_off_diagonal(prm, nb_q, _log_norm(logq, prm.alpha))
     num = lse([lw_p + lr * ep, lw_q + lr * eq])
     den = lse([lw_p, lw_q])
     return (num - den) / lr

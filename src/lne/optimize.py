@@ -11,15 +11,27 @@ distributions have the bracket forms
     minxent  p_i  ~  [q_i^(a-b) + (a-b) sum_r l_r (g_r(i) - G_r)]^(1/(a-b)),
 
 collapsing at a == b to the exponential (Maxwell-Boltzmann-Gibbs) forms
-p_i ~ exp(sum_r l_r (g_r(i) - G_r)) and q_i * exp(...).  States whose
-bracket goes nonpositive are clamped to zero probability, mirroring the
-q-exponential cutoff, and reported.
+p_i ~ exp(sum_r l_r (g_r(i) - G_r)) and q_i * exp(...).
 
-The multipliers are found by damped Newton iteration on the residual
-system R_r(l) = <<g_r>>_beta(p(l)) - G_r with a forward-difference
-Jacobian, halving backtracks on residual-norm increase, a start at
-l = 0, and seeded random restarts on failure.  Everything is pure and
-deterministic given the inputs and the config's seed.
+Both branches are the minimizers of one convex potential, the Legendre
+dual of the escort constraints (Tsallis, Mendes & Plastino, Physica A
+261, 1998): with d = a - b and bracket_i(l) as above,
+
+    G(l) = sum_i bracket_i(l)_+^(a/d),     log G = lse(a * log p_i(l)),
+
+whose gradient is a * (sum_i p_i^b / sum_i p_i^a) times the escort
+residual R_r(l) = <<g_r>>_beta(p(l)) - G_r, and whose Newton system is
+b * sum_i (e_i / bracket_i) dg_i dg_i^T v = -R over the beta-escort e.
+For a > b a state whose bracket goes nonpositive is clamped to zero
+probability, mirroring the q-exponential cutoff, and reported; for
+a < b the potential is +inf there, so no state ever clamps.
+
+The multipliers are found by Newton's method on G from l = 0 with
+halving backtracks under an Armijo test on log G (Boyd & Vandenberghe,
+Convex Optimization, ch. 9).  Targets outside the reachable set are
+certified and raise `InfeasibleError`: either every state clamps, or a
+Newton direction v has dg_i . v < 0 for every state, along which log G
+falls without bound.  Solves are deterministic given their inputs.
 
 `oracle_maxent` is an independent brute-force verifier: it enumerates
 the probability simplex on a grid, filters near-feasible points, and
@@ -59,7 +71,9 @@ class DegenerateConstraintError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """All Newton starts failed; carries the best attempt for diagnosis."""
+    """The Newton iteration stopped short of the residual tolerance, out
+    of iterations or with no acceptable step; carries its last iterate
+    for diagnosis."""
 
     def __init__(self, message, best):
         super().__init__(message)
@@ -120,6 +134,13 @@ _EMPTY = ConstraintSet(np.empty((0, 0)), np.empty(0))
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping rule of the Newton iteration: converged once the largest
+    escort residual is at most ``tol_residual``, within ``max_iter`` steps.
+
+    ``damping``, ``fd_step``, ``restarts`` and ``seed`` are accepted for
+    compatibility and ignored.
+    """
+
     tol_residual: float = 1e-10
     max_iter: int = 200
     damping: float = 1.0
@@ -128,17 +149,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tol_residual", "damping", "fd_step"):
-            v = getattr(self, name)
-            if not (v > 0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive, got {v!r}")
+        if not (self.tol_residual > 0 and np.isfinite(self.tol_residual)):
+            raise ValueError(f"tol_residual must be positive, got {self.tol_residual!r}")
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be >= 1")
-        if int(self.restarts) < 0:
-            raise ValueError("restarts must be >= 0")
         object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "restarts", int(self.restarts))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -192,142 +207,106 @@ def _check_setup(n, constraints, params, cfg):
 
 
 def _log_weights(lam, dg, d, log_prior):
-    """Log of the unnormalized stationary weights at multipliers ``lam``.
+    """Log of the unnormalized stationary weights at multipliers ``lam``,
+    log(bracket) / d, or the exponent of the exponential branch (d None).
 
     Returns (logw, clamped) where clamped marks states whose bracket is
-    nonpositive (assigned zero probability).
+    nonpositive (logw = -inf, zero probability).
     """
-    s = lam @ dg if lam.size else np.zeros(dg.shape[1])
+    s = lam @ dg
     if d is None:  # equal orders: exponential branch
         lw = s if log_prior is None else log_prior + s
         return lw, np.zeros(s.shape, dtype=bool)
-    # bracket - 1, written to stay exact as d -> 0
-    t = d * s if log_prior is None else np.expm1(d * log_prior) + d * s
-    clamped = t <= -1.0
-    safe = np.where(clamped, 0.0, t)
-    lw = np.where(clamped, -np.inf, np.log1p(safe) / d)
+    if log_prior is None:
+        rel, lw0, zero = d * s, 0.0, None  # bracket - 1, exact as d -> 0
+    else:
+        # bracket / prior^d - 1: forming prior^d + d*s instead cancels
+        # when the bracket is small next to prior^d
+        zero = log_prior == -np.inf
+        lw0 = np.where(zero, 0.0, log_prior)
+        rel = d * s * np.exp(-d * lw0)
+    clamped = rel <= -1.0
+    lw = np.where(clamped, -np.inf, lw0 + np.log1p(np.where(clamped, 0.0, rel)) / d)
+    if zero is not None and zero.any():
+        # a zero prior (alpha > beta only) leaves the bare bracket d*s
+        b = d * s[zero]
+        clamped[zero] = b <= 0.0
+        lw[zero] = np.where(b > 0.0, np.log(np.where(b > 0.0, b, 1.0)) / d, -np.inf)
     return lw, clamped
 
 
 def _solve_lagrange(n, cset, params, cfg, log_prior):
-    """Damped-Newton solve of the residual system; shared by both solvers."""
+    """Newton's method with backtracking on the potential log G; shared
+    by both solvers."""
     alpha, beta = params.alpha, params.beta
     d = None if params.equal_orders else alpha - beta
     dg = cset.g - cset.targets[:, None]
-    m = cset.m
 
-    def residual(lam):
+    def potential(lam):
+        """(log G, logw, clamped) at ``lam``; G is +inf once a bracket
+        with a negative exponent a/d reaches zero."""
         lw, clamped = _log_weights(lam, dg, d, log_prior)
-        norm = lse(beta * lw)
-        if not np.isfinite(norm):
-            return None, lw, clamped
-        e = np.exp(beta * lw - norm)
-        return dg @ e, lw, clamped
+        if d is not None and d < 0 and clamped.any():
+            return np.inf, lw, clamped
+        return lse(alpha * lw), lw, clamped
 
-    def attempt(lam):
-        R, lw, clamped = residual(lam)
-        if R is None:
-            return lam, None, 0
-        for it in range(1, cfg.max_iter + 1):
-            if np.max(np.abs(R)) <= cfg.tol_residual:
-                return lam, R, it - 1
-            J = np.empty((m, m))
-            for k in range(m):
-                lp = lam.copy()
-                lp[k] += cfg.fd_step
-                Rk, _, _ = residual(lp)
-                if Rk is None:
-                    return lam, R, it - 1
-                J[:, k] = (Rk - R) / cfg.fd_step
-            try:
-                step = np.linalg.solve(J, -R)
-            except np.linalg.LinAlgError:
-                return lam, R, it - 1
-            norm0 = np.linalg.norm(R)
-            t = cfg.damping
-            improved = False
-            while t > 1e-13:
-                cand = lam + t * step
-                Rc, _, _ = residual(cand)
-                if Rc is not None and np.linalg.norm(Rc) < norm0:
-                    lam, R = cand, Rc
-                    improved = True
-                    break
-                t /= 2.0
-            if not improved:
-                return lam, R, it
-        return lam, R, cfg.max_iter
+    def residual(lw):
+        log_sb = lse(beta * lw)
+        e = np.exp(beta * lw - log_sb)
+        return dg @ e, e, log_sb
 
-    def bisect_fallback():
-        # m == 1 only: the escort mean is nondecreasing in the single
-        # multiplier, so a sign bracket plus bisection survives the flat
-        # plateaus where clamping zeroes the Jacobian
-        def f(x):
-            R, _, _ = residual(np.array([x]))
-            return None if R is None else float(R[0])
-
-        v0 = f(0.0)
-        if v0 is None:
-            return None
-        direction = 1.0 if v0 < 0 else -1.0
-        lo, step = 0.0, 1.0
-        hi = None
-        for _ in range(80):
-            cand = lo + direction * step
-            v = f(cand)
-            if v is None or v0 * v <= 0:
-                hi = cand
-                break
-            lo, step = cand, step * 2.0
-        if hi is None:
-            return None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            v = f(mid)
-            if v is not None and v0 * v > 0:
-                lo = mid
-            else:
-                hi = mid
-        flo, fhi = f(lo), f(hi)
-        alo = abs(flo) if flo is not None else np.inf
-        ahi = abs(fhi) if fhi is not None else np.inf
-        return np.array([lo if alo <= ahi else hi])
-
-    rng = np.random.default_rng(cfg.seed)
-    best = None  # (res_norm, lam, R, iters, start_index)
-    for start in range(cfg.restarts + 1):
-        if start == 0:
-            lam0 = np.zeros(m)
-        else:
-            lam0 = rng.standard_normal(m) * 0.5 * 2.0 ** ((start - 1) % 6)
-        lam, R, iters = attempt(lam0)
-        res_norm = np.inf if R is None else float(np.max(np.abs(R)))
-        if best is None or res_norm < best[0]:
-            best = (res_norm, lam, R, iters, start)
-        if res_norm <= cfg.tol_residual:
+    lam = np.zeros(cset.m)
+    log_g, lw, clamped = potential(lam)
+    iterations = 0
+    while True:
+        if clamped.all():
+            raise InfeasibleError("the targets are jointly unreachable: every state clamps")
+        R, e, log_sb = residual(lw)
+        res_norm = float(np.max(np.abs(R)))
+        if res_norm <= cfg.tol_residual or iterations == cfg.max_iter:
             break
+        # e_i / bracket_i, with bracket_i = exp(d * logw_i); zero where clamped
+        u = e if d is None else np.exp((beta - d) * np.where(clamped, 0.0, lw) - log_sb)
+        u[clamped] = 0.0
+        H = beta * (dg * u) @ dg.T
+        try:
+            v = np.linalg.solve(H, -R)
+        except np.linalg.LinAlgError:  # too few unclamped states to span g
+            v = np.linalg.lstsq(H, -R, rcond=None)[0]
+        if not np.all(np.isfinite(v)):
+            break
+        if np.all(v @ dg < 0.0):
+            raise InfeasibleError(
+                "the targets are jointly unreachable: log G falls without bound "
+                "along a direction that lowers every state's utility"
+            )
+        slope = alpha * np.exp(log_sb - log_g) * float(R @ v)
+        flat = 8e-16 * max(1.0, abs(log_g))
+        t = 1.0
+        for _ in range(60):
+            cand = lam + t * v
+            log_gc, lwc, clampedc = potential(cand)
+            # near the minimum log G is flat to rounding: accept a step
+            # that still lowers the residual there
+            if log_gc <= log_g + 1e-4 * t * slope or (
+                abs(log_gc - log_g) <= flat
+                and np.max(np.abs(residual(lwc)[0])) < res_norm
+            ):
+                break
+            t *= 0.5
+        else:
+            break
+        lam, log_g, lw, clamped = cand, log_gc, lwc, clampedc
+        iterations += 1
 
-    if best[0] > cfg.tol_residual and m == 1:
-        lam_b = bisect_fallback()
-        if lam_b is not None:
-            # polish the bisection point with one more Newton attempt
-            lam, R, iters = attempt(lam_b)
-            res_norm = np.inf if R is None else float(np.max(np.abs(R)))
-            if res_norm < best[0]:
-                best = (res_norm, lam, R, iters, cfg.restarts + 1)
-
-    res_norm, lam, R, iters, start = best
-    lw, clamped = _log_weights(lam, dg, d, log_prior)
     log_z = lse(lw)
     p = np.exp(lw - log_z)
     converged = res_norm <= cfg.tol_residual
     report = SolverReport(
-        iterations=iters,
+        iterations=iterations,
         final_residual_norm=res_norm,
         converged=converged,
-        restarts_used=start,
+        restarts_used=0,
         clamped_states=tuple(int(i) for i in np.nonzero(clamped)[0]),
     )
     sol = MaxEntSolution(
@@ -339,8 +318,8 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
     )
     if not converged:
         raise ConvergenceError(
-            f"no convergence after {cfg.restarts + 1} starts "
-            f"(best residual {res_norm:.3e} > tol {cfg.tol_residual:.3e})",
+            f"no convergence after {iterations} Newton steps "
+            f"(residual {res_norm:.3e} > tol {cfg.tol_residual:.3e})",
             sol,
         )
     return sol

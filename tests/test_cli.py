@@ -273,11 +273,21 @@ class TestSolverCommands:
         code, _, err = run_cli(capsys, "maxent", "--input", path)
         assert code == 4 and "outside" in err
 
+    def test_jointly_infeasible_exit_four(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            weights=[1, 1, 1],
+            params={"alpha": 2, "beta": 1},
+            constraints=[{"g": [0, 1, 0.5], "G": 0.9}, {"g": [1, 0, 0.5], "G": 0.9}],
+        )
+        code, out, err = run_cli(capsys, "maxent", "--input", path)
+        assert code == 4 and "jointly unreachable" in err and out == ""
+
     def test_non_convergence_exit_three_still_prints(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,
             weights=[1, 1, 1, 1],
-            params={"alpha": 2, "beta": 1},
+            params={"alpha": 3, "beta": 1},
             constraints=[
                 {"g": [0, 1, 2, 3], "G": 2.1},
                 {"g": [1, 0, 1, 0], "G": 0.3},

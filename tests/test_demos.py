@@ -1,0 +1,22 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("demo", ["maxent_power_law.py", "minxent_duality.py"])
+def test_solver_demo_runs(demo):
+    # a fresh interpreter, as a user runs it: the demos use SolverConfig
+    # and the report fields, which no other test reaches from outside
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

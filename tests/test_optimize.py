@@ -18,6 +18,7 @@ from lne import (
     solve_maxent,
     solve_minxent,
 )
+from lne.optimize import _log_weights
 
 CFG = SolverConfig()
 
@@ -168,12 +169,27 @@ class TestMaxEnt:
         assert sol.p[0] == 0.0
         assert 0 in sol.report.clamped_states
 
+    @pytest.mark.parametrize(
+        "g, targets",
+        [
+            ([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]], [0.9, 0.9]),
+            ([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]], [2.5, 2.5]),
+        ],
+    )
+    @pytest.mark.parametrize("orders", [(2.0, 1.0), (1.0, 2.0), (1.5, 1.5)])
+    def test_jointly_infeasible_targets(self, g, targets, orders):
+        # each target lies inside its own row's range, but no distribution
+        # meets both: the solver must certify that, not run out of steps
+        cset = ConstraintSet(g, targets)
+        with pytest.raises(InfeasibleError, match="jointly unreachable"):
+            solve_maxent(len(g[0]), cset, orders, CFG)
+
     def test_non_convergence_carries_best_report(self):
         # two constraints (no scalar fallback) and a one-iteration budget
         cset = ConstraintSet([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 0.0]], [2.1, 0.3])
         tiny = SolverConfig(max_iter=1, restarts=0, damping=1e-9)
         with pytest.raises(ConvergenceError) as exc:
-            solve_maxent(4, cset, (2.0, 1.0), tiny)
+            solve_maxent(4, cset, (3.0, 1.0), tiny)
         assert exc.value.report.converged is False
         assert exc.value.best.p.shape == (4,)
         assert exc.value.report.final_residual_norm > 1e-10
@@ -225,6 +241,23 @@ class TestMinXEnt:
         np.testing.assert_allclose(sol.p, w / w.sum(), atol=1e-9)
         assert float(g @ sol.p) == pytest.approx(target, abs=1e-10)
 
+    def test_alpha_below_beta_exact_stationary_solution(self):
+        # g is built from the stationarity condition of a chosen p*, so p*
+        # is the exact answer; with alpha < beta no state may clamp
+        p_star = np.array([0.22, 0.22, 0.20, 0.22, 0.14])
+        p_star /= p_star.sum()
+        prior = np.array([0.30, 0.18, 0.10, 0.27, 0.15])
+        prior /= prior.sum()
+        alpha, beta = 0.8, 2.7
+        d = alpha - beta
+        G, lam = -0.85, 0.5
+        e = p_star**beta / np.sum(p_star**beta)
+        c = (e @ prior**d) / (e @ p_star**d)
+        s = (c * p_star**d - prior**d) / d
+        sol = solve_minxent(prior, ConstraintSet([G + s / lam], [G]), (alpha, beta), CFG)
+        assert sol.report.clamped_states == ()
+        np.testing.assert_allclose(sol.p, p_star, rtol=0.0, atol=1e-9)
+
     def test_prior_zero_rejected_when_alpha_below_beta(self):
         cset = ConstraintSet([[0.0, 1.0, 2.0]], [1.2])
         with pytest.raises(ValueError, match="prior is zero"):
@@ -232,6 +265,20 @@ class TestMinXEnt:
         # alpha > beta tolerates prior zeros
         sol = solve_minxent([0.5, 0.0, 0.5], cset, (2.0, 1.0), CFG)
         assert residuals(sol, cset, 1.0).max() <= 1e-10
+
+
+class TestLogWeights:
+    def test_minxent_bracket_small_next_to_prior_power(self):
+        # bracket q^d + d*s = 1e-2 * q^d: forming the sum cancels digits
+        import mpmath
+
+        q, d = 0.03, 3.0
+        s = -0.99 * q**d / d
+        lw, clamped = _log_weights(np.array([1.0]), np.array([[s]]), d, np.log([q]))
+        with mpmath.workdps(50):
+            exact = float(mpmath.log(mpmath.mpf(q) ** 3 + 3 * mpmath.mpf(s)) / 3)
+        assert not clamped[0]
+        assert abs(lw[0] - exact) <= 1e-13 * abs(exact)
 
 
 class TestOracle:
