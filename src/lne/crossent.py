@@ -25,7 +25,16 @@ import warnings
 
 import numpy as np
 
-from .numkit import TOL_MASS, _log_norm, _log_support, as_weights, lse
+from .numkit import (
+    TOL_MASS,
+    _exp_inplace,
+    _log_norm,
+    _log_support,
+    _lse_inplace,
+    _min,
+    _psi,
+    as_weights,
+)
 from .entropy import _as_params
 
 __all__ = ["SupportError", "CrossEntropyValue", "lnce", "relative_entropy_bridge"]
@@ -87,30 +96,40 @@ def _lnce(p, q, prm, require_equal_mass) -> float:
     _check_masses(p, q, require_equal_mass)
 
     alpha, beta = prm.alpha, prm.beta
-    psup = p > 0
-    if (prm.equal_orders or alpha > beta) and np.any(psup & (q == 0)):
-        raise SupportError(int(np.nonzero(psup & (q == 0))[0][0]))
+    logp = _log_support(p)
+    qs = q if logp.size == p.size else q[p > 0]  # q on the support of p
+    # q is nonnegative, so a minimum of 0 means a zero
+    if (prm.equal_orders or alpha > beta) and _min(qs) == 0:
+        raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
 
-    logp = np.log(p[psup])
-    t = beta * logp
-    psi = lse(t)
+    psi = _psi(logp, beta)
     log_sum_pb = beta * (psi / beta)  # beta * log_norm(p, beta), same rounding
     if prm.equal_orders:
-        e = np.exp(t - psi)
-        val = beta * float(e @ (logp - np.log(q[psup]))) - log_sum_pb
-    else:
-        both = q[psup] > 0
-        if not np.any(both):
+        diff = np.log(qs)
+        np.subtract(logp, diff, out=diff)  # log p - log q
+        # the beta-escort of p, built in place over log p
+        logp *= beta
+        logp -= psi
+        return beta * float(_exp_inplace(logp) @ diff) - log_sum_pb
+    if _min(qs) == 0:
+        both = qs > 0
+        if not both.any():
             # alpha < beta with disjoint supports: the defining sum is
             # empty and the value diverges; refuse rather than return inf.
-            raise SupportError(int(np.nonzero(psup)[0][0]))
-        d = alpha - beta
-        # the log of the beta-escort, formed in log space: an escort
-        # entry that underflows would otherwise drop a dominant term
-        log_e = t[both] - log_sum_pb
-        terms = log_e + d * (logp[both] - np.log(q[psup][both]))
-        val = (beta / d) * lse(terms) - log_sum_pb
-    return val
+            raise SupportError(int(np.flatnonzero(p > 0)[0]))
+        logp, qs = logp[both], qs[both]
+    d = alpha - beta
+    # the terms (beta * log p - log_sum_pb) + d * (log p - log q), built
+    # in place over log p; the log of the beta-escort is formed in log
+    # space: an escort entry that underflows would otherwise drop a
+    # dominant term
+    dlog = np.log(qs)
+    np.subtract(logp, dlog, out=dlog)
+    dlog *= d
+    logp *= beta
+    logp -= log_sum_pb
+    logp += dlog
+    return (beta / d) * _lse_inplace(logp) - log_sum_pb
 
 
 def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:

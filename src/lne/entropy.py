@@ -26,10 +26,12 @@ from .numkit import (
     TOL_MASS,
     EntropyParams,
     _check_order,
+    _escort_support,
+    _exp_inplace,
     _log_norm,
     _log_support,
+    _psi,
     as_weights,
-    is_probability,
     lse,
 )
 
@@ -96,7 +98,7 @@ def renyi(w, alpha) -> EntropyValue:
     if abs(alpha - 1.0) <= EPS_ORDER:
         return EntropyValue(_shannon(w), "renyi", (alpha,))
     mass = w.sum()
-    lsum = lse(alpha * _log_support(w / mass))
+    lsum = _psi(_log_support(w / mass), alpha)
     return EntropyValue(lsum / (1.0 - alpha) - math.log(mass), "renyi", (alpha,))
 
 
@@ -110,11 +112,11 @@ def tsallis(w, q) -> EntropyValue:
     if not np.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
     w = as_weights(w)
-    if not is_probability(w):
+    if abs(w.sum() - 1.0) > TOL_MASS:
         raise ValueError(f"tsallis entropy requires a probability vector, mass={w.sum()}")
     if abs(q - 1.0) <= EPS_ORDER:
         return EntropyValue(_shannon(w), "tsallis", (q,))
-    s = float(np.exp(q * _log_support(w)).sum())
+    s = float(_exp_inplace(q * _log_support(w)).sum())
     return EntropyValue((1.0 - s) / (q - 1.0), "tsallis", (q,))
 
 
@@ -129,7 +131,7 @@ def kapur(w, alpha, beta) -> EntropyValue:
     if abs(alpha - beta) <= EPS_ORDER:
         raise ValueError("kapur entropy needs alpha != beta; use aczel_daroczy for the limit")
     logw = _log_support(as_weights(w))
-    val = (lse(beta * logw) - lse(alpha * logw)) / (alpha - beta)
+    val = (_psi(logw, beta) - _psi(logw, alpha)) / (alpha - beta)
     return EntropyValue(val, "kapur", (alpha, beta))
 
 
@@ -155,9 +157,8 @@ def norm_entropy(w, alpha, beta) -> EntropyValue:
 def _escort_moment(logw, beta):
     """(AD_beta, psi(beta)) from one power sum: the beta-escort mean of
     -log w and psi(beta) = log sum w^beta."""
-    t = beta * logw
-    psi = lse(t)
-    return -float(np.exp(t - psi) @ logw), psi
+    e, psi = _escort_support(logw, beta)
+    return -float(e @ logw), psi
 
 
 def aczel_daroczy(w, beta) -> EntropyValue:

@@ -5,16 +5,34 @@ least one positive entry.  Probability and sub-probability vectors are
 the special cases with total mass 1 and <= 1; most routines here accept
 the general case because the quantities they feed are scale invariant.
 
-All power sums are evaluated in log space by one kernel, `lse`, over
-psi(gamma) = gamma * log w on the positive support, so that orders up
-to a few hundred neither underflow nor overflow, and zero entries are
-dropped everywhere (the 0*log(0) := 0 convention).  The private helpers
-below take already-validated arrays, so each public function validates
-its input and takes the log of its support once.
+All power sums are evaluated in log space by one kernel,
+psi(gamma) = log sum_i w_i^gamma = lse(gamma * log w) over the positive
+support, so that orders up to a few hundred neither underflow nor
+overflow, and zero entries are dropped everywhere (the 0*log(0) := 0
+convention).  The private helpers below take already-validated arrays,
+so each public function validates its input and takes the log of its
+support once.
+
+Each psi works in one scratch array: gamma * log w is formed, shifted
+by its maximum, exponentiated and summed in place, so a call on n
+entries holds log w plus n more floats, not three full-size
+temporaries.  Helpers that need exp(gamma * log w - psi) afterwards
+build it in place too, once psi has freed its scratch.
+
+Every exp of a full-size array goes through `_exp_inplace`, which hands
+numpy's vector exp only arguments whose results are at least 2**-1021.
+numpy's AVX-512 exp drops a whole SIMD vector to a slow path, about a
+hundred times slower per entry, when any one lane's result is below
+that, and weights with a dynamic range of 1e200 at orders of a few
+units put several percent of the shifted arguments there, scattered
+through the array.  The few arguments whose results are subnormal are
+recomputed by np.exp on their own, those whose results are zero are
+written as zeros, and every result keeps the bits np.exp gives it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +89,13 @@ def as_weights(w, name="w") -> np.ndarray:
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    # nan and +-inf all reach the minimum or the maximum (see _min)
+    lo, hi = arr[arr.argmin()], arr[arr.argmax()]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} contains non-finite entries")
-    if np.any(arr < 0):
+    if lo < 0:
         raise ValueError(f"{name} contains negative entries")
-    if not np.any(arr > 0):
+    if not hi > 0:
         raise ValueError(f"{name} must have at least one positive entry")
     return arr
 
@@ -92,11 +112,68 @@ def is_subprobability(w, tol=TOL_MASS) -> bool:
     return total_mass(w) <= 1.0 + tol
 
 
+def _min(x):
+    """x.min() of a nonempty vector, nan included.  argmin is no ufunc
+    reduction, so it costs a fraction of min on short vectors."""
+    return x[x.argmin()]
+
+
 def _check_order(gamma, name="gamma") -> float:
     gamma = float(gamma)
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise ValueError(f"{name} must be a finite positive real, got {gamma!r}")
     return gamma
+
+
+# numpy's AVX-512 exp keeps its fast path only while every lane's result
+# is at least 2**-1021, i.e. for arguments >= -1021 log 2 = -707.703...;
+# below -746 every result rounds to zero.
+_EXP_FAST_MIN = -707.0
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp_inplace(x) -> np.ndarray:
+    """Overwrite the float64 vector ``x`` with np.exp(x), bit for bit.
+
+    Arguments below _EXP_FAST_MIN are taken out before the vector exp
+    runs, so no SIMD vector falls to numpy's slow path; their results
+    are zero below _EXP_ZERO_BELOW and recomputed on their own above it.
+    """
+    if not _min(x) < _EXP_FAST_MIN:  # also true when it is nan
+        return np.exp(x, out=x)
+    low = np.flatnonzero(x < _EXP_FAST_MIN)
+    x_low = x[low]
+    x[low] = 0.0
+    np.exp(x, out=x)
+    x[low] = 0.0
+    tiny = x_low >= _EXP_ZERO_BELOW
+    x[low[tiny]] = np.exp(x_low[tiny])
+    return x
+
+
+def _lse_inplace(a) -> float:
+    """`lse` of a nonempty float64 vector the caller hands over; ``a`` is
+    overwritten."""
+    i = a.argmax()  # rather than max, see _min; i is the tie when k == 1
+    a_max = a[i]
+    if not math.isfinite(a_max):
+        return float(a_max)
+    a -= a_max
+    # a == 0 is exactly the set tying with the maximum
+    tie = a == 0.0
+    k = np.count_nonzero(tie)
+    # zero the tied terms rather than dropping them: numpy's pairwise sum
+    # groups terms by position, so the full length keeps every rounding
+    # equal to that of the usual library logsumexp
+    _exp_inplace(a)
+    if k == 1:
+        a[i] = 0.0
+    else:
+        a[tie] = 0.0
+    s = a.sum()
+    if s != 0.0:
+        s = s / k
+    return float(np.log1p(s) + (np.log(k) if k > 1 else 0.0) + a_max)
 
 
 def lse(a) -> float:
@@ -107,37 +184,41 @@ def lse(a) -> float:
     41(4), 2021).  -inf entries contribute nothing; a maximum of +inf,
     -inf or nan is returned as is.
     """
-    a = np.asarray(a, dtype=float)
-    a_max = a.max()
-    if not np.isfinite(a_max):
-        return float(a_max)
-    tie = a == a_max
-    k = np.count_nonzero(tie)
-    # zero the tied terms rather than dropping them: numpy's pairwise sum
-    # groups terms by position, so the full length keeps every rounding
-    # equal to that of the usual library logsumexp
-    e = np.exp(a - a_max)
-    e[tie] = 0.0
-    s = e.sum()
-    if s != 0.0:
-        s = s / k
-    return float(np.log1p(s) + np.log(k) + a_max)
+    a = np.array(a, dtype=float, order="K").ravel(order="K")
+    if not a.size:
+        a.max()  # raises numpy's error for an empty reduction
+    return _lse_inplace(a)
+
+
+def _psi(logw, gamma) -> float:
+    """psi(gamma) = log sum_i w_i^gamma from the log-support ``logw``."""
+    return _lse_inplace(gamma * logw)
 
 
 def _log_support(w) -> np.ndarray:
     """log of the positive entries of a validated weight vector."""
-    return np.log(w[w > 0])
+    return np.log(w) if _min(w) > 0 else np.log(w[w > 0])
 
 
 def _log_norm(logw, gamma) -> float:
-    return lse(gamma * logw) / gamma
+    return _psi(logw, gamma) / gamma
+
+
+def _escort_support(logw, beta):
+    """(e, psi): the beta-escort exp(beta * logw - psi) of the support and
+    psi = psi(beta).  e is formed after psi has freed its scratch."""
+    psi = _psi(logw, beta)
+    e = beta * logw
+    e -= psi
+    return _exp_inplace(e), psi
 
 
 def _escort(w, beta) -> np.ndarray:
+    e, _ = _escort_support(_log_support(w), beta)
+    if e.size == w.size:
+        return e
     out = np.zeros_like(w)
-    pos = w > 0
-    t = beta * np.log(w[pos])
-    out[pos] = np.exp(t - lse(t))
+    out[w > 0] = e
     return out
 
 

@@ -45,7 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import EPS_ORDER, EntropyParams, _check_order, _escort, as_weights, lse
+from .numkit import (
+    EPS_ORDER,
+    EntropyParams,
+    _check_order,
+    _escort,
+    _escort_support,
+    _psi,
+    as_weights,
+    lse,
+)
 
 __all__ = [
     "InfeasibleError",
@@ -151,9 +160,13 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol_residual > 0 and np.isfinite(self.tol_residual)):
             raise ValueError(f"tol_residual must be positive, got {self.tol_residual!r}")
-        if int(self.max_iter) < 1:
+        try:
+            max_iter = int(self.max_iter)
+        except (OverflowError, ValueError):  # inf, nan
+            raise ValueError(f"max_iter must be a finite integer, got {self.max_iter!r}") from None
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "max_iter", max_iter)
 
 
 @dataclass(frozen=True)
@@ -248,11 +261,10 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
         lw, clamped = _log_weights(lam, dg, d, log_prior)
         if d is not None and d < 0 and clamped.any():
             return np.inf, lw, clamped
-        return lse(alpha * lw), lw, clamped
+        return _psi(lw, alpha), lw, clamped
 
     def residual(lw):
-        log_sb = lse(beta * lw)
-        e = np.exp(beta * lw - log_sb)
+        e, log_sb = _escort_support(lw, beta)
         return dg @ e, e, log_sb
 
     lam = np.zeros(cset.m)

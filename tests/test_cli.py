@@ -301,6 +301,17 @@ class TestSolverCommands:
         assert float(rec["residual_norm"]) > 1e-10
         assert "no convergence" in err
 
+    @pytest.mark.parametrize("bad", ["1e400", "NaN"])
+    def test_non_finite_max_iter_exit_two(self, tmp_path, capsys, bad):
+        path = tmp_path / "prob.json"
+        path.write_text(
+            '{"weights": [1, 1, 1], "params": {"alpha": 2, "beta": 1}, '
+            '"constraints": [{"g": [0, 1, 2], "G": 0.8}], '
+            f'"solver": {{"max_iter": {bad}}}}}'
+        )
+        code, out, err = run_cli(capsys, "maxent", "--input", str(path))
+        assert code == 2 and "max_iter" in err and out == ""
+
     def test_seed_and_tol_flags(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

@@ -1,20 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lne import (
     EntropyParams,
+    aczel_daroczy,
     as_weights,
     escort,
     is_probability,
     is_subprobability,
+    kapur,
+    lnce,
+    lne,
     log_norm,
     majorizes,
     product_compose,
+    renyi,
     robin_hood_transfer,
 )
-from lne.numkit import lse
+from lne.numkit import _exp_inplace, lse
 
 
 class TestWeightValidation:
@@ -27,6 +33,20 @@ class TestWeightValidation:
     )
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
+            as_weights(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([-1.0, np.nan], "non-finite"),
+            ([-np.inf, 1.0], "non-finite"),
+            ([-0.1, 0.5], "negative"),
+            ([0.0, 0.0], "at least one positive"),
+        ],
+    )
+    def test_message_order(self, bad, message):
+        # non-finite entries are reported before negative ones
+        with pytest.raises(ValueError, match=message):
             as_weights(bad)
 
     def test_membership_predicates(self):
@@ -98,6 +118,79 @@ class TestLse:
         from scipy.special import logsumexp
 
         assert _same_bits(lse(a), logsumexp(a))
+
+
+class TestExpInplace:
+    """`_exp_inplace` keeps np.exp's bits while keeping underflowing
+    arguments away from numpy's vector exp."""
+
+    @staticmethod
+    def _check(x):
+        expected = np.exp(x)
+        got = _exp_inplace(x.copy())
+        assert got.tobytes() == expected.tobytes()
+
+    def test_grid_with_mixed_lanes(self):
+        grid = np.linspace(-800.0, 1.0, 80_101)
+        special = [-708.0, -707.7032713517042, -707.0, -745.13, -745.1332191019412]
+        special += [-746.0, -np.inf, np.nan, 0.0, -0.0, 1.0]
+        low = np.concatenate([grid[grid < -707.0], special])
+        high = grid[grid >= -707.0]
+        # alternate underflowing and normal arguments, so every SIMD
+        # vector holds both kinds of lane
+        x = np.empty(2 * low.size)
+        x[0::2] = low
+        x[1::2] = np.resize(high, low.size)
+        self._check(x)
+        self._check(np.array(special))
+
+    def test_seeded_arrays(self):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 17])
+            x = rng.uniform(-800.0, 1.0, 100_000)
+            x[rng.random(x.size) < 0.01] = -np.inf
+            x[rng.random(x.size) < 0.3] *= rng.uniform(0.0, 1e-2)
+            self._check(x)
+
+
+class TestKernelMemory:
+    """Each power sum works in one scratch array: the peak allocation of
+    a call stays near log w plus that scratch, in units of 8n bytes."""
+
+    N = 100_000
+
+    @staticmethod
+    def _peak(call):
+        call()  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_log_w_plus_one_scratch(self):
+        # gamma = 2 on w >= 0.05: no exp argument underflows
+        rng = np.random.default_rng(23)
+        w = rng.uniform(0.05, 1.0, self.N)
+        p = w / w.sum()
+        q = rng.uniform(0.05, 1.0, self.N)
+        q /= q.sum()
+        calls = {
+            "log_norm": lambda: log_norm(w, 2.0),
+            "lne": lambda: lne(w, (2.0, 0.5)),
+            "lne diagonal": lambda: lne(w, (2.0, 2.0)),
+            "kapur": lambda: kapur(w, 2.0, 0.5),
+            "renyi": lambda: renyi(w, 2.0),
+            "escort": lambda: escort(w, 2.0),
+            "aczel_daroczy": lambda: aczel_daroczy(w, 2.0),
+            "lnce": lambda: lnce(p, q, (0.5, 2.0)),
+            "lnce diagonal": lambda: lnce(p, q, (2.0, 2.0)),
+        }
+        for name, call in calls.items():
+            peak = self._peak(call) / (8 * self.N)
+            assert peak <= 2.5, (name, peak)
 
 
 class TestLogNorm:

@@ -80,6 +80,15 @@ class TestConstraintValidation:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_solver_config_rejects_non_finite_max_iter(self, bad):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=bad)
+
+    def test_solver_config_keeps_integral_max_iter(self):
+        assert SolverConfig(max_iter=7.0).max_iter == 7
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
 
 class TestMaxEnt:
     def test_unconstrained_is_exactly_uniform(self):
