@@ -138,9 +138,10 @@ class TestExpInplace:
         high = grid[grid >= -707.0]
         # alternate underflowing and normal arguments, so every SIMD
         # vector holds both kinds of lane
-        x = np.empty(2 * low.size)
-        x[0::2] = low
-        x[1::2] = np.resize(high, low.size)
+        m = max(low.size, high.size)
+        x = np.empty(2 * m)
+        x[0::2] = np.resize(low, m)
+        x[1::2] = np.resize(high, m)
         self._check(x)
         self._check(np.array(special))
 
