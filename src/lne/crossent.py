@@ -28,11 +28,9 @@ import numpy as np
 from .numkit import (
     TOL_MASS,
     _exp_inplace,
-    _log_norm,
     _log_support,
     _lse_inplace,
     _min,
-    _psi,
     as_weights,
 )
 from .entropy import _as_params
@@ -66,13 +64,17 @@ class CrossEntropyValue(float):
         )
 
 
-def _check_masses(p, q, require_equal_mass):
-    diff = abs(p.sum() - q.sum())
-    if diff > TOL_MASS:
-        msg = f"total masses differ: W(p)={p.sum()}, W(q)={q.sum()}"
+def _check_pair(p, q, require_equal_mass):
+    """Check equal lengths and equal masses; returns the mass of q."""
+    if p.size != q.size:
+        raise ValueError(f"length mismatch: {p.size} vs {q.size}")
+    mass_p, mass_q = p.sum(), q.sum()
+    if abs(mass_p - mass_q) > TOL_MASS:
+        msg = f"total masses differ: W(p)={mass_p}, W(q)={mass_q}"
         if require_equal_mass:
             raise ValueError(msg)
-        warnings.warn(msg, stacklevel=4)
+        warnings.warn(msg, stacklevel=3)
+    return mass_q
 
 
 def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
@@ -84,46 +86,48 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     so this is safe when probing that invariance).
     """
     prm = _as_params(params)
-    p = as_weights(p, "p")
+    p, *range_p = as_weights(p, "p", return_range=True)
     q = as_weights(q, "q")
-    return CrossEntropyValue(_lnce(p, q, prm, require_equal_mass), prm, q.sum())
+    mass_q = _check_pair(p, q, require_equal_mass)
+    return CrossEntropyValue(_lnce(p, range_p, q, prm), prm, mass_q)
 
 
-def _lnce(p, q, prm, require_equal_mass) -> float:
-    """`lnce` on validated weight vectors."""
-    if p.size != q.size:
-        raise ValueError(f"length mismatch: {p.size} vs {q.size}")
-    _check_masses(p, q, require_equal_mass)
-
+def _lnce(p, range_p, q, prm) -> float:
+    """`lnce` on validated weight vectors that passed `_check_pair`;
+    range_p is (min p, max p)."""
     alpha, beta = prm.alpha, prm.beta
-    logp = _log_support(p)
+    sup = _log_support(p, *range_p)
+    logp = sup.logw
     qs = q if logp.size == p.size else q[p > 0]  # q on the support of p
     # q is nonnegative, so a minimum of 0 means a zero
     if (prm.equal_orders or alpha > beta) and _min(qs) == 0:
         raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
 
-    psi = _psi(logp, beta)
+    psi = sup.psi(beta)
+    # psi's scratch takes log q next; the support is not needed again
+    scratch, lo_logp = sup.scratch, sup.lo
+    del sup
     log_sum_pb = beta * (psi / beta)  # beta * log_norm(p, beta), same rounding
     if prm.equal_orders:
-        diff = np.log(qs)
+        diff = np.log(qs, out=scratch)
         np.subtract(logp, diff, out=diff)  # log p - log q
         # the beta-escort of p, built in place over log p
         logp *= beta
         logp -= psi
-        return beta * float(_exp_inplace(logp) @ diff) - log_sum_pb
+        return beta * float(_exp_inplace(logp, beta * lo_logp - psi) @ diff) - log_sum_pb
     if _min(qs) == 0:
         both = qs > 0
         if not both.any():
             # alpha < beta with disjoint supports: the defining sum is
             # empty and the value diverges; refuse rather than return inf.
             raise SupportError(int(np.flatnonzero(p > 0)[0]))
-        logp, qs = logp[both], qs[both]
+        logp, qs, scratch = logp[both], qs[both], None
     d = alpha - beta
     # the terms (beta * log p - log_sum_pb) + d * (log p - log q), built
     # in place over log p; the log of the beta-escort is formed in log
     # space: an escort entry that underflows would otherwise drop a
     # dominant term
-    dlog = np.log(qs)
+    dlog = np.log(qs, out=scratch)
     np.subtract(logp, dlog, out=dlog)
     dlog *= d
     logp *= beta
@@ -136,7 +140,9 @@ def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
     """Relative (beta, alpha)-entropy recovered from the cross-entropy via
     CE_{a,b}(P, Q) = a RE_{b,a}(P, Q) + b log||Q||_b."""
     prm = _as_params(params)
-    p = as_weights(p, "p")
-    q = as_weights(q, "q")
-    ce = _lnce(p, q, prm, require_equal_mass) + 0.0  # as CrossEntropyValue rounds -0.0
-    return (ce - prm.beta * _log_norm(_log_support(q), prm.beta)) / prm.alpha
+    p, *range_p = as_weights(p, "p", return_range=True)
+    q, *range_q = as_weights(q, "q", return_range=True)
+    _check_pair(p, q, require_equal_mass)
+    ce = _lnce(p, range_p, q, prm) + 0.0  # as CrossEntropyValue rounds -0.0
+    log_norm_q = _log_support(q, *range_q).log_norm(prm.beta, in_place=True)
+    return (ce - prm.beta * log_norm_q) / prm.alpha

@@ -26,11 +26,8 @@ from .numkit import (
     TOL_MASS,
     EntropyParams,
     _check_order,
-    _escort_support,
     _exp_inplace,
-    _log_norm,
     _log_support,
-    _psi,
     as_weights,
     lse,
 )
@@ -71,11 +68,16 @@ def _as_params(params) -> EntropyParams:
     return EntropyParams(alpha, beta)
 
 
-def _shannon(w) -> float:
+def _shannon(w, lo) -> float:
+    """`shannon` of a validated w whose smallest entry is lo."""
     mass = w.sum()
     u = w / mass
-    pos = u[u > 0]
-    return float(-(pos * np.log(pos)).sum()) - math.log(mass)
+    # division by mass is monotone: u has a zero exactly when lo / mass is 0
+    if not lo / mass > 0:
+        u = u[u > 0]
+    t = np.log(u)
+    t *= u
+    return float(-t.sum()) - math.log(mass)
 
 
 def shannon(w) -> EntropyValue:
@@ -85,7 +87,8 @@ def shannon(w) -> EntropyValue:
     not the entropy of the mass-normalized vector: on sub-probabilities
     it differs from it by -log W and is not scale invariant.
     """
-    return EntropyValue(_shannon(as_weights(w)), "shannon")
+    w, lo, _ = as_weights(w, return_range=True)
+    return EntropyValue(_shannon(w, lo), "shannon")
 
 
 def renyi(w, alpha) -> EntropyValue:
@@ -94,11 +97,13 @@ def renyi(w, alpha) -> EntropyValue:
     Orders within EPS_ORDER of 1 route to the Shannon limit.
     """
     alpha = _check_order(alpha, "alpha")
-    w = as_weights(w)
+    w, lo, hi = as_weights(w, return_range=True)
     if abs(alpha - 1.0) <= EPS_ORDER:
-        return EntropyValue(_shannon(w), "renyi", (alpha,))
+        return EntropyValue(_shannon(w, lo), "renyi", (alpha,))
     mass = w.sum()
-    lsum = _psi(_log_support(w / mass), alpha)
+    # division by mass is monotone, so lo / mass and hi / mass are the
+    # extremes of w / mass
+    lsum = _log_support(w / mass, lo / mass, hi / mass, own=True).psi(alpha, in_place=True)
     return EntropyValue(lsum / (1.0 - alpha) - math.log(mass), "renyi", (alpha,))
 
 
@@ -111,12 +116,15 @@ def tsallis(w, q) -> EntropyValue:
     q = float(q)
     if not np.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
-    w = as_weights(w)
+    w, lo, hi = as_weights(w, return_range=True)
     if abs(w.sum() - 1.0) > TOL_MASS:
         raise ValueError(f"tsallis entropy requires a probability vector, mass={w.sum()}")
     if abs(q - 1.0) <= EPS_ORDER:
-        return EntropyValue(_shannon(w), "tsallis", (q,))
-    s = float(_exp_inplace(q * _log_support(w)).sum())
+        return EntropyValue(_shannon(w, lo), "tsallis", (q,))
+    sup = _log_support(w, lo, hi)
+    a = np.multiply(sup.logw, q, out=sup.logw)
+    # q * log(min w) is the smallest exponent only for q > 0
+    s = float(_exp_inplace(a, q * sup.lo if q > 0 else None).sum())
     return EntropyValue((1.0 - s) / (q - 1.0), "tsallis", (q,))
 
 
@@ -130,8 +138,8 @@ def kapur(w, alpha, beta) -> EntropyValue:
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if abs(alpha - beta) <= EPS_ORDER:
         raise ValueError("kapur entropy needs alpha != beta; use aczel_daroczy for the limit")
-    logw = _log_support(as_weights(w))
-    val = (_psi(logw, beta) - _psi(logw, alpha)) / (alpha - beta)
+    sup = _log_support(*as_weights(w, return_range=True))
+    val = (sup.psi(beta) - sup.psi(alpha)) / (alpha - beta)
     return EntropyValue(val, "kapur", (alpha, beta))
 
 
@@ -144,21 +152,21 @@ def norm_entropy(w, alpha, beta) -> EntropyValue:
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if abs(alpha - beta) <= EPS_ORDER:
         raise ValueError("norm entropy needs alpha != beta; its scaled limit is aczel_daroczy")
-    logw = _log_support(as_weights(w))
+    sup = _log_support(*as_weights(w, return_range=True))
     val = (
         alpha
         * beta
         / (alpha - beta)
-        * (math.exp(_log_norm(logw, beta)) - math.exp(_log_norm(logw, alpha)))
+        * (math.exp(sup.log_norm(beta)) - math.exp(sup.log_norm(alpha)))
     )
     return EntropyValue(val, "norm", (alpha, beta))
 
 
-def _escort_moment(logw, beta):
+def _escort_moment(sup, beta):
     """(AD_beta, psi(beta)) from one power sum: the beta-escort mean of
     -log w and psi(beta) = log sum w^beta."""
-    e, psi = _escort_support(logw, beta)
-    return -float(e @ logw), psi
+    e, psi = sup.escort(beta)
+    return -float(e @ sup.logw), psi
 
 
 def aczel_daroczy(w, beta) -> EntropyValue:
@@ -168,7 +176,7 @@ def aczel_daroczy(w, beta) -> EntropyValue:
     entropies; beta = 1 gives Shannon on probability vectors.
     """
     beta = _check_order(beta, "beta")
-    ad, _ = _escort_moment(_log_support(as_weights(w)), beta)
+    ad, _ = _escort_moment(_log_support(*as_weights(w, return_range=True)), beta)
     return EntropyValue(ad, "aczel_daroczy", (beta,))
 
 
@@ -177,11 +185,11 @@ def _lne_off_diagonal(p, norm_beta, norm_alpha) -> float:
     return p.alpha * p.beta / (p.alpha - p.beta) * (norm_beta - norm_alpha)
 
 
-def _lne(logw, p) -> float:
+def _lne(sup, p) -> float:
     if p.equal_orders:
-        ad, psi = _escort_moment(logw, p.beta)
+        ad, psi = _escort_moment(sup, p.beta)
         return p.beta * (ad + psi / p.beta)
-    return _lne_off_diagonal(p, _log_norm(logw, p.beta), _log_norm(logw, p.alpha))
+    return _lne_off_diagonal(p, sup.log_norm(p.beta), sup.log_norm(p.alpha))
 
 
 def lne(w, params) -> EntropyValue:
@@ -192,7 +200,7 @@ def lne(w, params) -> EntropyValue:
     beta * [AD_beta + log||w||_beta].
     """
     p = _as_params(params)
-    val = _lne(_log_support(as_weights(w)), p)
+    val = _lne(_log_support(*as_weights(w, return_range=True)), p)
     return EntropyValue(val, "lne", (p.alpha, p.beta))
 
 
@@ -200,8 +208,8 @@ def lne_min_entropy_limit(w, beta) -> EntropyValue:
     """The alpha -> infinity limit of the logarithmic norm entropy,
     beta * [-log(max w) + log||w||_beta]: a scale-invariant min-entropy."""
     beta = _check_order(beta, "beta")
-    w = as_weights(w)
-    val = beta * (_log_norm(_log_support(w), beta) - math.log(w.max()))
+    w, lo, hi = as_weights(w, return_range=True)
+    val = beta * (_log_support(w, lo, hi).log_norm(beta, in_place=True) - math.log(hi))
     return EntropyValue(val, "min_entropy_scaled", (beta,))
 
 
@@ -221,18 +229,18 @@ def gm_subadditivity_rhs(p, q, params) -> float:
     prm = _as_params(params)
     if prm.equal_orders:
         raise ValueError("generalized-mean bound needs alpha != beta")
-    p = as_weights(p, "p")
-    q = as_weights(q, "q")
+    p, *range_p = as_weights(p, "p", return_range=True)
+    q, *range_q = as_weights(q, "q", return_range=True)
     if p.sum() + q.sum() > 1.0 + TOL_MASS:
         raise ValueError(f"combined mass {p.sum() + q.sum()} exceeds 1")
-    logp, logq = _log_support(p), _log_support(q)
+    sp, sq = _log_support(p, *range_p), _log_support(q, *range_q)
     lr = 1.0 - prm.alpha / prm.beta
-    nb_p = _log_norm(logp, prm.beta)
-    nb_q = _log_norm(logq, prm.beta)
+    nb_p = sp.log_norm(prm.beta)
+    nb_q = sq.log_norm(prm.beta)
     lw_p = prm.alpha * nb_p
     lw_q = prm.alpha * nb_q
-    ep = _lne_off_diagonal(prm, nb_p, _log_norm(logp, prm.alpha))
-    eq = _lne_off_diagonal(prm, nb_q, _log_norm(logq, prm.alpha))
+    ep = _lne_off_diagonal(prm, nb_p, sp.log_norm(prm.alpha))
+    eq = _lne_off_diagonal(prm, nb_q, sq.log_norm(prm.alpha))
     num = lse([lw_p + lr * ep, lw_q + lr * eq])
     den = lse([lw_p, lw_q])
     return (num - den) / lr

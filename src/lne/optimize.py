@@ -48,10 +48,9 @@ import numpy as np
 from .numkit import (
     EPS_ORDER,
     EntropyParams,
+    _LogSupport,
     _check_order,
     _escort,
-    _escort_support,
-    _psi,
     as_weights,
     lse,
 )
@@ -194,11 +193,11 @@ def normalized_q_expectation(w, g, q) -> float:
     vectors.
     """
     q = _check_order(q, "q")
-    w = as_weights(w)
+    w, *range_w = as_weights(w, return_range=True)
     g = np.asarray(g, dtype=float)
     if g.shape != w.shape:
         raise ValueError(f"g has shape {g.shape}, expected {w.shape}")
-    return float(_escort(w, q) @ g)
+    return float(_escort(w, *range_w, q) @ g)
 
 
 def _check_setup(n, constraints, params, cfg):
@@ -219,9 +218,22 @@ def _check_setup(n, constraints, params, cfg):
     return n, cset, params, cfg or SolverConfig()
 
 
-def _log_weights(lam, dg, d, log_prior):
+def _prior_terms(log_prior, d):
+    """(lw0, prior^-d, zero): what `_log_weights` needs of the prior, for
+    one solve.  lw0 is log prior with 0 at zero priors (0.0 without a
+    prior), and zero marks the zero priors, or is None if there are none."""
+    if log_prior is None:
+        return 0.0, None, None
+    zero = log_prior == -np.inf
+    lw0 = np.where(zero, 0.0, log_prior)
+    return lw0, np.exp(-d * lw0), zero if zero.any() else None
+
+
+def _log_weights(lam, dg, d, log_prior, prior_terms=None):
     """Log of the unnormalized stationary weights at multipliers ``lam``,
     log(bracket) / d, or the exponent of the exponential branch (d None).
+    ``prior_terms`` is `_prior_terms(log_prior, d)`, computed here if not
+    given.
 
     Returns (logw, clamped) where clamped marks states whose bracket is
     nonpositive (logw = -inf, zero probability).
@@ -230,17 +242,17 @@ def _log_weights(lam, dg, d, log_prior):
     if d is None:  # equal orders: exponential branch
         lw = s if log_prior is None else log_prior + s
         return lw, np.zeros(s.shape, dtype=bool)
-    if log_prior is None:
-        rel, lw0, zero = d * s, 0.0, None  # bracket - 1, exact as d -> 0
-    else:
-        # bracket / prior^d - 1: forming prior^d + d*s instead cancels
-        # when the bracket is small next to prior^d
-        zero = log_prior == -np.inf
-        lw0 = np.where(zero, 0.0, log_prior)
-        rel = d * s * np.exp(-d * lw0)
+    lw0, scale, zero = prior_terms or _prior_terms(log_prior, d)
+    # bracket / prior^d - 1 (bracket - 1 without a prior, exact as d -> 0):
+    # forming prior^d + d*s instead cancels when the bracket is small next
+    # to prior^d
+    rel = d * s if scale is None else d * s * scale
     clamped = rel <= -1.0
-    lw = np.where(clamped, -np.inf, lw0 + np.log1p(np.where(clamped, 0.0, rel)) / d)
-    if zero is not None and zero.any():
+    if clamped.any():
+        lw = np.where(clamped, -np.inf, lw0 + np.log1p(np.where(clamped, 0.0, rel)) / d)
+    else:
+        lw = lw0 + np.log1p(rel) / d
+    if zero is not None:
         # a zero prior (alpha > beta only) leaves the bare bracket d*s
         b = d * s[zero]
         clamped[zero] = b <= 0.0
@@ -254,17 +266,18 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
     alpha, beta = params.alpha, params.beta
     d = None if params.equal_orders else alpha - beta
     dg = cset.g - cset.targets[:, None]
+    prior_terms = None if d is None else _prior_terms(log_prior, d)
 
     def potential(lam):
         """(log G, logw, clamped) at ``lam``; G is +inf once a bracket
         with a negative exponent a/d reaches zero."""
-        lw, clamped = _log_weights(lam, dg, d, log_prior)
+        lw, clamped = _log_weights(lam, dg, d, log_prior, prior_terms)
         if d is not None and d < 0 and clamped.any():
             return np.inf, lw, clamped
-        return _psi(lw, alpha), lw, clamped
+        return _LogSupport(lw).psi(alpha), lw, clamped
 
     def residual(lw):
-        e, log_sb = _escort_support(lw, beta)
+        e, log_sb = _LogSupport(lw).escort(beta)
         return dg @ e, e, log_sb
 
     lam = np.zeros(cset.m)
@@ -278,8 +291,13 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
         if res_norm <= cfg.tol_residual or iterations == cfg.max_iter:
             break
         # e_i / bracket_i, with bracket_i = exp(d * logw_i); zero where clamped
-        u = e if d is None else np.exp((beta - d) * np.where(clamped, 0.0, lw) - log_sb)
-        u[clamped] = 0.0
+        if d is None:
+            u = e
+        elif clamped.any():
+            u = np.exp((beta - d) * np.where(clamped, 0.0, lw) - log_sb)
+            u[clamped] = 0.0
+        else:
+            u = np.exp((beta - d) * lw - log_sb)
         H = beta * (dg * u) @ dg.T
         try:
             v = np.linalg.solve(H, -R)

@@ -19,9 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import EPS_ORDER
+from .numkit import EPS_ORDER, _min
 
 __all__ = ["q_log", "q_exp"]
+
+
+def _range(arr):
+    """(min, max) of an array, nan if it holds one; (1, 1) when empty,
+    which passes every check."""
+    if not arr.size:
+        return 1.0, 1.0
+    flat = arr.ravel()
+    return _min(flat), flat[flat.argmax()]
 
 
 def q_log(x, q):
@@ -33,7 +42,8 @@ def q_log(x, q):
     if not np.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
     arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
+    lo, hi = _range(arr)
+    if not (lo > 0 and hi < np.inf):  # nan fails both
         raise ValueError("q_log requires finite x > 0")
     if abs(1.0 - q) <= EPS_ORDER:
         out = np.log(arr)
@@ -53,19 +63,23 @@ def q_exp(x, q):
     if not np.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
     arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)):
+    lo, hi = _range(arr)
+    if not (-np.inf < lo and hi < np.inf):  # nan fails both
         raise ValueError("q_exp requires finite x")
     if abs(1.0 - q) <= EPS_ORDER:
         out = np.exp(arr)
         return float(out) if np.isscalar(x) else out
 
     c = 1.0 - q
-    flat = np.atleast_1d(arr)
-    bracket = 1.0 + c * flat
-    if np.any(bracket == 0.0) and c < 0:
-        raise ValueError("q_exp pole: bracket is exactly 0 with q > 1")
-    out = np.zeros_like(flat)
-    pos = bracket > 0
-    out[pos] = np.exp(np.log1p(c * flat[pos]) / c)
+    cx = c * arr.reshape(-1)
+    bracket = 1.0 + cx
+    if not bracket.size or _min(bracket) > 0:
+        out = np.exp(np.log1p(cx) / c)
+    else:
+        if c < 0 and np.any(bracket == 0.0):
+            raise ValueError("q_exp pole: bracket is exactly 0 with q > 1")
+        out = np.zeros_like(cx)
+        pos = bracket > 0
+        out[pos] = np.exp(np.log1p(cx[pos]) / c)
     out = out.reshape(arr.shape)
     return float(out) if np.isscalar(x) else out

@@ -19,8 +19,10 @@ from lne import (
     product_compose,
     renyi,
     robin_hood_transfer,
+    shannon,
+    tsallis,
 )
-from lne.numkit import _exp_inplace, lse
+from lne.numkit import _SUMMARY_MIN_SIZE, _exp_inplace, _LogSupport, lse
 
 
 class TestWeightValidation:
@@ -153,6 +155,15 @@ class TestExpInplace:
             x[rng.random(x.size) < 0.3] *= rng.uniform(0.0, 1e-2)
             self._check(x)
 
+    def test_minimum_estimate_only_picks_the_path(self):
+        # an estimate on the wrong side of -707 takes the other path,
+        # which gives the same bits
+        rng = np.random.default_rng(18)
+        low = rng.uniform(-800.0, 1.0, 10_000)
+        high = rng.uniform(-700.0, 1.0, 10_000)
+        for x, estimate in ((low, 0.0), (high, -1e3), (low, -np.inf), (high, np.nan)):
+            assert _exp_inplace(x.copy(), estimate).tobytes() == np.exp(x).tobytes()
+
 
 class TestKernelMemory:
     """Each power sum works in one scratch array: the peak allocation of
@@ -192,6 +203,146 @@ class TestKernelMemory:
         for name, call in calls.items():
             peak = self._peak(call) / (8 * self.N)
             assert peak <= 2.5, (name, peak)
+
+    def test_shannon_peak(self):
+        rng = np.random.default_rng(24)
+        p = rng.uniform(0.05, 1.0, self.N)
+        p /= p.sum()
+        calls = {
+            "shannon": lambda: shannon(p),
+            "renyi order one": lambda: renyi(p, 1.0),
+            "tsallis order one": lambda: tsallis(p, 1.0),
+        }
+        for name, call in calls.items():
+            peak = self._peak(call) / (8 * self.N)
+            assert peak <= 2.5, (name, peak)
+
+
+def _ref_log_support(w):
+    return np.log(w[w > 0])
+
+
+def _ref_psi(w, gamma):
+    # the public lse searches its own copy for the maximum and the ties
+    return lse(gamma * _ref_log_support(w))
+
+
+def _ref_escort(w, beta):
+    psi = _ref_psi(w, beta)
+    out = np.zeros_like(w)
+    out[w > 0] = np.exp(beta * _ref_log_support(w) - psi)
+    return out
+
+
+def _ref_lne(w, alpha, beta):
+    p = EntropyParams(alpha, beta)
+    if p.equal_orders:
+        logw = _ref_log_support(w)
+        psi = _ref_psi(w, beta)
+        ad = -float(np.exp(beta * logw - psi) @ logw)
+        return beta * (ad + psi / beta) + 0.0  # as EntropyValue rounds -0.0
+    return alpha * beta / (alpha - beta) * (_ref_psi(w, beta) / beta - _ref_psi(w, alpha) / alpha) + 0.0
+
+
+def _ref_renyi(w, alpha):
+    mass = w.sum()
+    return _ref_psi(w / mass, alpha) / (1.0 - alpha) - math.log(mass) + 0.0
+
+
+class TestSupportSummary:
+    """Each psi of a call takes the maximum, the entries that can tie with
+    it and an estimate of the minimum from one search per call.  The
+    values must be those of compositions of the public `lse`, which
+    searches its own array, and np.exp, bit for bit."""
+
+    ORDERS = (1e-310, 0.3, 2.0, 6.0, 100.0)
+
+    @staticmethod
+    def _tiled(small):
+        # short supports search each psi; long ones use the summary
+        return [small, np.tile(small, -(-_SUMMARY_MIN_SIZE // small.size))]
+
+    @classmethod
+    def _vectors(cls, gamma):
+        rng = np.random.default_rng([25, int(math.log2(gamma)) + 2000])
+        top = 0.75
+        for small in (
+            np.array([0.5, 0.5, 0.25]),  # tied maxima
+            np.array([top, np.nextafter(top, 0.0), 0.1, np.nextafter(top, 0.0)]),
+            np.array([1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 0.3]),  # log w near 0
+            np.array([0.0, 1e-320, 3e-300, 0.0, 1e-310]),  # zeros and subnormals
+            np.array([1e-320]),
+        ):
+            yield from cls._tiled(small)
+        for n in (7, 64, 1000, 100_000):
+            # per 8-lane vector: normal, subnormal-result and zero-result
+            # exp lanes at this order (where gamma reaches them), ties and zeros
+            w = rng.uniform(0.05, 1.0, n)
+            with np.errstate(over="ignore"):
+                w[1::8] = np.exp(rng.uniform(-745.0, -708.0, w[1::8].size) / gamma)
+                w[3::8] = np.maximum(np.exp(rng.uniform(-2000.0, -750.0, w[3::8].size) / gamma), 1e-320)
+            w[1::8] = np.clip(w[1::8], 1e-320, 0.04)
+            w[3::8] = np.clip(w[3::8], 1e-320, 0.04)
+            w[rng.integers(n, size=3)] = 1.0
+            if n > 64:
+                w[5::8] = 0.0
+            yield w
+
+    @pytest.mark.parametrize("gamma", ORDERS)
+    def test_matches_public_lse_compositions(self, gamma):
+        for w in self._vectors(gamma):
+            assert _same_bits(log_norm(w, gamma), _ref_psi(w, gamma) / gamma)
+            assert escort(w, gamma).tobytes() == _ref_escort(w, gamma).tobytes()
+            for beta in (1.7, gamma, gamma * (1.0 + 1e-7)):
+                assert _same_bits(lne(w, (gamma, beta)), _ref_lne(w, gamma, beta)), beta
+            assert _same_bits(renyi(w, gamma), _ref_renyi(w, gamma))
+
+    def test_ties_from_rounding(self):
+        # log weights one ulp apart whose products with gamma round to the
+        # same value: ties that the log weights themselves do not show
+        top = np.nextafter(np.nextafter(-4.6, 0.0), 0.0)
+        logw = np.array([-4.6, np.nextafter(-4.6, 0.0), -7.0, top] * 3)
+        rounded_ties = 0
+        for gamma in np.linspace(0.3, 7.0, 201):
+            sup = _LogSupport(logw.copy(), -7.0, float(top))
+            assert _same_bits(sup.psi(gamma), lse(gamma * logw)), gamma
+            rounded_ties += np.count_nonzero(gamma * logw == gamma * top) > 1
+        assert rounded_ties >= 3
+
+    def test_subnormal_products_tie(self):
+        # gamma * log(1 - 1e-14) rounds to -0.0 at gamma = 1e-310, and
+        # gamma * log(1 - 1e-12) at gamma = 1e-312: both tie with
+        # gamma * log 1 = 0 from farther away than any candidate margin.
+        # Products near gamma * log(0.6) are subnormal and tie the same way.
+        w = np.array([1.0, 1.0 - 2.0**-53, 0.5, 1.0 - 2.0**-52] + [1.0 - 1e-14] * 4)
+        v = np.array([0.6, 0.6 * (1.0 - 2e-14), 0.6 * (1.0 - 1e-14), 0.1] * 2)
+        vectors = self._tiled(w) + self._tiled(v)
+        # every term is exp(-0.0) or exp(subnormal) = 1 here, and log k +
+        # log1p((n - k) / k) has other bits than log1p(n - 1) for most (n, k)
+        for n in range(2, 10):
+            for k in range(2, n + 1):
+                for eps in (1e-14, 1e-12):
+                    x = np.array([1.0] + [1.0 - eps] * (k - 1) + [0.5] * (n - k))
+                    vectors += self._tiled(x)
+        for gamma in (1e-310, 1e-312, 2.0**-961, 2.0**-959):
+            for x in vectors:
+                # psi / gamma overflows here; kapur takes psi(gamma) as it is
+                expected = (_ref_psi(x, 2.0) - _ref_psi(x, gamma)) / (gamma - 2.0)
+                assert _same_bits(kapur(x, gamma, 2.0), expected), (gamma, x)
+                assert _same_bits(log_norm(x, gamma), _ref_psi(x, gamma) / gamma), (gamma, x)
+
+    def test_maximum_estimate_only_speeds_the_search(self):
+        # an estimate of the maximum far off either way falls back to the
+        # full search: too high finds no candidate, too low too many
+        rng = np.random.default_rng(26)
+        logw = np.log(rng.uniform(0.05, 1.0, 1000))
+        logw[[3, 500]] = logw.max()
+        ties = set(np.flatnonzero(logw == logw.max()))
+        for hi in (0.0, 50.0, -50.0, float(logw.max())):
+            for gamma in (0.3, 6.0):
+                sup = _LogSupport(logw.copy(), float(logw.min()), hi)
+                assert _same_bits(sup.psi(gamma), lse(gamma * logw)), (hi, gamma)
+                assert sup.hi == logw.max() and ties <= set(sup.cand)
 
 
 class TestLogNorm:

@@ -89,3 +89,50 @@ def test_array_and_scalar_round_trip():
     assert isinstance(out, np.ndarray) and out[0] == 0.0
     assert isinstance(q_exp(1.0, 0.5), float)
     assert isinstance(q_log(2.0, 0.5), float)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_qlog_message(bad):
+    for x in (bad, [2.0, bad, 1.0], np.array([[1.0, bad]])):
+        with pytest.raises(ValueError, match=r"^q_log requires finite x > 0$"):
+            q_log(x, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qexp_message(bad):
+    for q in (0.5, 1.0, 2.0):
+        for x in (bad, [2.0, bad, -1.0]):
+            with pytest.raises(ValueError, match=r"^q_exp requires finite x$"):
+                q_exp(x, q)
+
+
+def test_qexp_pole_message_and_cutoff_mix():
+    # a zero bracket among positive and negative ones
+    with pytest.raises(ValueError, match=r"^q_exp pole: bracket is exactly 0 with q > 1$"):
+        q_exp([0.1, 0.8, -3.0], 2.25)
+    # q < 1: the zero bracket and the negative one both give 0
+    out = q_exp([0.1, -2.0, -3.0], 0.5)
+    assert out[1] == 0.0 and out[2] == 0.0 and out[0] > 0.0
+
+
+def test_qexp_matches_masked_form_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for q in (-1.5, 0.25, 0.5, 1.7, 3.0):
+        c = 1.0 - q
+        x = rng.uniform(-3.0, 3.0, 999)
+        bracket = 1.0 + c * x
+        expected = np.zeros_like(x)
+        pos = bracket > 0
+        expected[pos] = np.exp(np.log1p(c * x[pos]) / c)
+        assert q_exp(x, q).tobytes() == expected.tobytes()
+        x = x[pos]  # every bracket positive
+        assert q_exp(x, q).tobytes() == np.exp(np.log1p(c * x) / c).tobytes()
+
+
+def test_shapes_and_empty_input():
+    assert q_log(np.array(2.0), 0.5).shape == ()
+    assert q_exp(np.array([[0.5, -3.0]]), 0.5).shape == (1, 2)
+    for f in (q_log, q_exp):
+        for q in (0.5, 1.0, 2.0):
+            out = f(np.array([]), q)
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
