@@ -27,8 +27,9 @@ import numpy as np
 
 from .numkit import (
     TOL_MASS,
+    _LOG_FLOAT_MAX,
     _exp_inplace,
-    _log_support,
+    _LogSupport,
     _lse_inplace,
     _min,
     as_weights,
@@ -94,46 +95,59 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
 
 def _lnce(p, range_p, q, prm) -> float:
     """`lnce` on validated weight vectors that passed `_check_pair`;
-    range_p is (min p, max p)."""
-    alpha, beta = prm.alpha, prm.beta
-    sup = _log_support(p, *range_p)
-    logp = sup.logw
-    qs = q if logp.size == p.size else q[p > 0]  # q on the support of p
-    # q is nonnegative, so a minimum of 0 means a zero
-    if (prm.equal_orders or alpha > beta) and _min(qs) == 0:
-        raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
+    range_p is (min p, max p).
 
-    psi = sup.psi(beta)
-    # psi's scratch takes log q next; the support is not needed again
-    scratch, lo_logp = sup.scratch, sup.lo
-    del sup
-    log_sum_pb = beta * (psi / beta)  # beta * log_norm(p, beta), same rounding
-    if prm.equal_orders:
-        diff = np.log(qs, out=scratch)
-        np.subtract(logp, diff, out=diff)  # log p - log q
-        # the beta-escort of p, built in place over log p
-        logp *= beta
-        logp -= psi
-        return beta * float(_exp_inplace(logp, beta * lo_logp - psi) @ diff) - log_sum_pb
+    With y = log p - log q, the beta-escort e of p and d = alpha - beta,
+    CE = beta * S - psi(beta), where S = log(e . exp(d y)) / d is the
+    slope of y's cumulant generating function, and e . y at d = 0.
+    Where no exp(d (y_i - y_j)) can overflow, S is taken as
+    ybar + log1p(e . expm1(d (y - ybar))) / d with ybar = e . y: the
+    mean carries the first-order part of the sum, which would otherwise
+    cancel near the diagonal, so S is as accurate as ybar at any d.
+    Past that range the sum rests on entries far out in y, whose escort
+    weights may underflow, and it is taken in log space."""
+    alpha, beta = prm.alpha, prm.beta
+    sup = _LogSupport(p, *range_p)
+    x = sup.x
+    qs = q if x.size == p.size else q[p > 0]  # q on the support of p
+    both = None
+    # q is nonnegative, so a minimum of 0 means a zero
     if _min(qs) == 0:
+        if prm.equal_orders or alpha > beta:
+            raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
         both = qs > 0
         if not both.any():
             # alpha < beta with disjoint supports: the defining sum is
             # empty and the value diverges; refuse rather than return inf.
             raise SupportError(int(np.flatnonzero(p > 0)[0]))
-        logp, qs, scratch = logp[both], qs[both], None
+    l_beta = sup.log1p_sum(beta)  # psi(beta) = beta * m + l_beta
+    a = sup.a
+    a[sup.i] = 1.0  # a / (1 + s) is the escort now
+    norm, dropped = 1.0 + sup.s, 0.0
+    if both is not None:
+        # a zero of q under the positive exponent beta - alpha drops its
+        # state from the sum, but not from psi(beta)
+        norm, dropped = float(a[both].sum()), float(a[~both].sum())
+        x, qs, a = x[both], qs[both], None
+    y = np.log(qs, out=a)  # the exp array takes y - m next
+    np.subtract(x, y, out=y)
     d = alpha - beta
-    # the terms (beta * log p - log_sum_pb) + d * (log p - log q), built
-    # in place over log p; the log of the beta-escort is formed in log
-    # space: an escort entry that underflows would otherwise drop a
-    # dominant term
-    dlog = np.log(qs, out=scratch)
-    np.subtract(logp, dlog, out=dlog)
-    dlog *= d
-    logp *= beta
-    logp -= log_sum_pb
-    logp += dlog
-    return (beta / d) * _lse_inplace(logp) - log_sum_pb
+    # with norm >= dropped, norm >= 1/2: a[i] = 1 is among the two
+    if norm >= dropped and abs(d) * (y[y.argmax()] - _min(y)) + math.log(norm) <= _LOG_FLOAT_MAX:
+        # exp(beta x), the kept escort times norm, over x
+        a = _exp_inplace(np.multiply(x, beta, out=x), beta * sup.lo)
+        s = float(a @ y) / norm
+        if d != 0.0:
+            y -= s
+            y *= d
+            np.expm1(y, out=y)
+            s += (math.log1p(float(a @ y) / norm) - math.log1p(dropped / norm)) / d
+        return beta * s - l_beta
+    # log(e . exp(d y)) + L(beta) = lse(beta x + d y), in place over x
+    y *= d
+    u = np.multiply(x, beta, out=x)
+    u += y
+    return beta * (_lse_inplace(u) - l_beta) / d - l_beta
 
 
 def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
@@ -144,5 +158,6 @@ def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
     q, *range_q = as_weights(q, "q", return_range=True)
     _check_pair(p, q, require_equal_mass)
     ce = _lnce(p, range_p, q, prm) + 0.0  # as CrossEntropyValue rounds -0.0
-    log_norm_q = _log_support(q, *range_q).log_norm(prm.beta, in_place=True)
-    return (ce - prm.beta * log_norm_q) / prm.alpha
+    sup = _LogSupport(q, *range_q)
+    # b log||Q||_b = psi(b), formed without log||Q||_b, which overflows at tiny b
+    return (ce - prm.beta * sup.m - sup.log1p_sum(prm.beta, in_place=True)) / prm.alpha

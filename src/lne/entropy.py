@@ -11,8 +11,17 @@ which is scale invariant (E(cP) = E(P) for c > 0), symmetric in (a, b),
 ranges over [0, log n], and equals the Renyi entropy of order a/b of the
 b-escort distribution.  All values are in nats.
 
-Order pairs within EPS_ORDER of the diagonal dispatch to the limiting
-a == b form; the (a - b) denominator loses roughly eight digits there.
+Every member is an expression in the shifted log-support of `numkit`:
+m = log(max w), L(b) and the escort-CGF slope D(b, h) over an order
+pair, with b the smaller order and h the distance to the larger:
+
+    E_{a,b}   = L(b) - b * D(b, h),       >= 0 term by term,
+    ||w||_g   = exp(m + L(g) / g),        L(a) = L(b) + (a - b) D,
+    Kapur     = -m - D,      Renyi_a = Kapur over the orders {a, 1},
+    AD_b      = -m - D(b, 0),             Shannon = AD_1,
+
+so the diagonal is the h = 0 case of the same expression, not a
+separate formula, and no (a - b) denominator cancels near it.
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ import numpy as np
 from .numkit import (
     EPS_ORDER,
     TOL_MASS,
+    _LOG_FLOAT_MAX,
     EntropyParams,
     _check_order,
     _exp_inplace,
-    _log_support,
+    _LogSupport,
     as_weights,
     lse,
 )
@@ -68,16 +78,16 @@ def _as_params(params) -> EntropyParams:
     return EntropyParams(alpha, beta)
 
 
-def _shannon(w, lo) -> float:
-    """`shannon` of a validated w whose smallest entry is lo."""
-    mass = w.sum()
-    u = w / mass
-    # division by mass is monotone: u has a zero exactly when lo / mass is 0
-    if not lo / mass > 0:
-        u = u[u > 0]
-    t = np.log(u)
-    t *= u
-    return float(-t.sum()) - math.log(mass)
+def _support(w):
+    """The log-support of w, validated."""
+    return _LogSupport(*as_weights(w, return_range=True))
+
+
+def _kapur(sup, alpha, beta) -> float:
+    """(psi(beta) - psi(alpha)) / (alpha - beta) = -m - D over the orders
+    {alpha, beta}, and at alpha == beta its limit, the beta-escort mean of
+    -log w.  Consumes the support."""
+    return -sup.m - sup.slope(alpha, beta)[2]
 
 
 def shannon(w) -> EntropyValue:
@@ -87,31 +97,25 @@ def shannon(w) -> EntropyValue:
     not the entropy of the mass-normalized vector: on sub-probabilities
     it differs from it by -log W and is not scale invariant.
     """
-    w, lo, _ = as_weights(w, return_range=True)
-    return EntropyValue(_shannon(w, lo), "shannon")
+    return EntropyValue(_kapur(_support(w), 1.0, 1.0), "shannon")
 
 
 def renyi(w, alpha) -> EntropyValue:
     """Renyi entropy of order alpha, (1/(1-alpha)) log[sum w^alpha / sum w].
 
-    Orders within EPS_ORDER of 1 route to the Shannon limit.
+    Order 1 is the Shannon limit.
     """
     alpha = _check_order(alpha, "alpha")
-    w, lo, hi = as_weights(w, return_range=True)
-    if abs(alpha - 1.0) <= EPS_ORDER:
-        return EntropyValue(_shannon(w, lo), "renyi", (alpha,))
-    mass = w.sum()
-    # division by mass is monotone, so lo / mass and hi / mass are the
-    # extremes of w / mass
-    lsum = _log_support(w / mass, lo / mass, hi / mass, own=True).psi(alpha, in_place=True)
-    return EntropyValue(lsum / (1.0 - alpha) - math.log(mass), "renyi", (alpha,))
+    return EntropyValue(_kapur(_support(w), alpha, 1.0), "renyi", (alpha,))
 
 
 def tsallis(w, q) -> EntropyValue:
     """Tsallis entropy (1 - sum p^q)/(q - 1) of a probability vector.
 
-    Defined here only on probability vectors; q within EPS_ORDER of 1
-    routes to the Shannon limit.  Equals -sum p^q log_q(p).
+    Defined here only on probability vectors, and for q > 0 evaluated
+    as -expm1(psi(q) - psi(1)) / (q - 1), which normalizes by sum p and
+    is continuous through the Shannon limit at q = 1.  Equals
+    -sum p^q log_q(p).
     """
     q = float(q)
     if not np.isfinite(q):
@@ -119,13 +123,15 @@ def tsallis(w, q) -> EntropyValue:
     w, lo, hi = as_weights(w, return_range=True)
     if abs(w.sum() - 1.0) > TOL_MASS:
         raise ValueError(f"tsallis entropy requires a probability vector, mass={w.sum()}")
-    if abs(q - 1.0) <= EPS_ORDER:
-        return EntropyValue(_shannon(w, lo), "tsallis", (q,))
-    sup = _log_support(w, lo, hi)
-    a = np.multiply(sup.logw, q, out=sup.logw)
-    # q * log(min w) is the smallest exponent only for q > 0
-    s = float(_exp_inplace(a, q * sup.lo if q > 0 else None).sum())
-    return EntropyValue((1.0 - s) / (q - 1.0), "tsallis", (q,))
+    if q <= 0:
+        # the shifted support needs a positive order; sum p^q as it is
+        a = np.log(w if lo > 0 else w[w > 0])
+        a *= q
+        s = float(_exp_inplace(a).sum())
+        return EntropyValue((1.0 - s) / (q - 1.0), "tsallis", (q,))
+    c = _kapur(_LogSupport(w, lo, hi), q, 1.0)  # (psi(1) - psi(q)) / (q - 1)
+    val = c if q == 1.0 else -math.expm1((1.0 - q) * c) / (q - 1.0)
+    return EntropyValue(val, "tsallis", (q,))
 
 
 def kapur(w, alpha, beta) -> EntropyValue:
@@ -138,9 +144,7 @@ def kapur(w, alpha, beta) -> EntropyValue:
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if abs(alpha - beta) <= EPS_ORDER:
         raise ValueError("kapur entropy needs alpha != beta; use aczel_daroczy for the limit")
-    sup = _log_support(*as_weights(w, return_range=True))
-    val = (sup.psi(beta) - sup.psi(alpha)) / (alpha - beta)
-    return EntropyValue(val, "kapur", (alpha, beta))
+    return EntropyValue(_kapur(_support(w), alpha, beta), "kapur", (alpha, beta))
 
 
 def norm_entropy(w, alpha, beta) -> EntropyValue:
@@ -148,25 +152,19 @@ def norm_entropy(w, alpha, beta) -> EntropyValue:
     alpha*beta/(alpha-beta) * [||w||_beta - ||w||_alpha].
 
     Symmetric in (alpha, beta); rejects the diagonal like `kapur`.
+    Evaluated as ||w||_b * r * -expm1(-E_{a,b} / r) with b the smaller
+    order and r = |ab/(a-b)|, since ||w||_a / ||w||_b = exp(-E_{a,b} / r)
+    for a > b.
     """
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if abs(alpha - beta) <= EPS_ORDER:
         raise ValueError("norm entropy needs alpha != beta; its scaled limit is aczel_daroczy")
-    sup = _log_support(*as_weights(w, return_range=True))
-    val = (
-        alpha
-        * beta
-        / (alpha - beta)
-        * (math.exp(sup.log_norm(beta)) - math.exp(sup.log_norm(alpha)))
-    )
+    sup = _support(w)
+    b, lb, d = sup.slope(alpha, beta)
+    r = abs(alpha * beta / (alpha - beta))
+    # the larger norm, at the smaller order b, times 1 - the ratio of the two
+    val = math.exp(sup.m + lb / b) * r * -math.expm1((b * d - lb) / r)
     return EntropyValue(val, "norm", (alpha, beta))
-
-
-def _escort_moment(sup, beta):
-    """(AD_beta, psi(beta)) from one power sum: the beta-escort mean of
-    -log w and psi(beta) = log sum w^beta."""
-    e, psi = sup.escort(beta)
-    return -float(e @ sup.logw), psi
 
 
 def aczel_daroczy(w, beta) -> EntropyValue:
@@ -176,41 +174,27 @@ def aczel_daroczy(w, beta) -> EntropyValue:
     entropies; beta = 1 gives Shannon on probability vectors.
     """
     beta = _check_order(beta, "beta")
-    ad, _ = _escort_moment(_log_support(*as_weights(w, return_range=True)), beta)
-    return EntropyValue(ad, "aczel_daroczy", (beta,))
-
-
-def _lne_off_diagonal(p, norm_beta, norm_alpha) -> float:
-    """lne for alpha != beta from log||w||_beta and log||w||_alpha."""
-    return p.alpha * p.beta / (p.alpha - p.beta) * (norm_beta - norm_alpha)
-
-
-def _lne(sup, p) -> float:
-    if p.equal_orders:
-        ad, psi = _escort_moment(sup, p.beta)
-        return p.beta * (ad + psi / p.beta)
-    return _lne_off_diagonal(p, sup.log_norm(p.beta), sup.log_norm(p.alpha))
+    return EntropyValue(_kapur(_support(w), beta, beta), "aczel_daroczy", (beta,))
 
 
 def lne(w, params) -> EntropyValue:
     """Logarithmic norm entropy with orders (alpha, beta).
 
-    ``params`` is an EntropyParams or an (alpha, beta) pair.  Pairs on
-    the diagonal (within EPS_ORDER) use the limiting form
-    beta * [AD_beta + log||w||_beta].
+    ``params`` is an EntropyParams or an (alpha, beta) pair.  Evaluated as
+    L(b) - b * D(b, h), which is beta * [AD_beta + log||w||_beta] on the
+    diagonal.
     """
     p = _as_params(params)
-    val = _lne(_log_support(*as_weights(w, return_range=True)), p)
-    return EntropyValue(val, "lne", (p.alpha, p.beta))
+    b, lb, d = _support(w).slope(p.alpha, p.beta)
+    return EntropyValue(lb - b * d, "lne", (p.alpha, p.beta))
 
 
 def lne_min_entropy_limit(w, beta) -> EntropyValue:
     """The alpha -> infinity limit of the logarithmic norm entropy,
-    beta * [-log(max w) + log||w||_beta]: a scale-invariant min-entropy."""
+    beta * [-log(max w) + log||w||_beta] = L(beta): a scale-invariant
+    min-entropy."""
     beta = _check_order(beta, "beta")
-    w, lo, hi = as_weights(w, return_range=True)
-    val = beta * (_log_support(w, lo, hi).log_norm(beta, in_place=True) - math.log(hi))
-    return EntropyValue(val, "min_entropy_scaled", (beta,))
+    return EntropyValue(_support(w).log1p_sum(beta, in_place=True), "min_entropy_scaled", (beta,))
 
 
 def gm_subadditivity_rhs(p, q, params) -> float:
@@ -233,14 +217,20 @@ def gm_subadditivity_rhs(p, q, params) -> float:
     q, *range_q = as_weights(q, "q", return_range=True)
     if p.sum() + q.sum() > 1.0 + TOL_MASS:
         raise ValueError(f"combined mass {p.sum() + q.sum()} exceeds 1")
-    sp, sq = _log_support(p, *range_p), _log_support(q, *range_q)
-    lr = 1.0 - prm.alpha / prm.beta
-    nb_p = sp.log_norm(prm.beta)
-    nb_q = sq.log_norm(prm.beta)
-    lw_p = prm.alpha * nb_p
-    lw_q = prm.alpha * nb_q
-    ep = _lne_off_diagonal(prm, nb_p, sp.log_norm(prm.alpha))
-    eq = _lne_off_diagonal(prm, nb_q, sq.log_norm(prm.alpha))
-    num = lse([lw_p + lr * ep, lw_q + lr * eq])
-    den = lse([lw_p, lw_q])
-    return (num - den) / lr
+    alpha, beta = prm.alpha, prm.beta
+    lr = 1.0 - alpha / beta
+    lw, ent = [], []
+    for w, range_w in ((p, range_p), (q, range_q)):
+        sup = _LogSupport(w, *range_w)
+        b, lb, d = sup.slope(alpha, beta)
+        ent.append(lb - b * d)
+        lw.append(alpha * (sup.m + (lb + (beta - b) * d) / beta))  # alpha * log||w||_beta
+    if abs(lr * (ent[0] - ent[1])) > _LOG_FLOAT_MAX:
+        return (lse([lw[0] + lr * ent[0], lw[1] + lr * ent[1]]) - lse(lw)) / lr
+    # log of the weighted mean of exp(lr E), with the mean of E taken out:
+    # near the diagonal the difference of the two lse above cancels
+    top = max(lw)
+    wt = [math.exp(v - top) for v in lw]
+    mean = (wt[0] * ent[0] + wt[1] * ent[1]) / (wt[0] + wt[1])
+    tilt = sum(wk * math.expm1(lr * (ek - mean)) for wk, ek in zip(wt, ent))
+    return mean + math.log1p(tilt / (wt[0] + wt[1])) / lr

@@ -5,28 +5,30 @@ least one positive entry.  Probability and sub-probability vectors are
 the special cases with total mass 1 and <= 1; most routines here accept
 the general case because the quantities they feed are scale invariant.
 
-All power sums are evaluated in log space by one kernel,
-psi(gamma) = log sum_i w_i^gamma = lse(gamma * log w) over the positive
-support, so that orders up to a few hundred neither underflow nor
-overflow, and zero entries are dropped everywhere (the 0*log(0) := 0
-convention).  Each public function validates its input once, which
-also finds its smallest and largest entries, and takes the log of its
-support once, into a `_LogSupport`.
+Every power sum runs over the positive support, so zero entries are
+dropped everywhere (the 0*log(0) := 0 convention).  Each public function
+validates its input once, which also finds its smallest and largest
+entries, and takes the log of its support once, into a `_LogSupport`:
+x = log w - m with m = max log w, so x <= 0 with x = 0 at the maximum
+(the log is taken of w scaled by a power of two, so that x is exact to
+a few of its own ulps at any scale of w).  Then psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma), where
 
-The `_LogSupport` carries, from the validation, an estimate of the
-smallest log weight, which tells each exp pass whether it has
-underflowing arguments.  On supports of a few thousand entries and
-more it also finds, once per call, what the log-sum-exp of each psi
-would otherwise search its whole argument for: the largest log weight
-and the few entries that can tie with it at any order.  Every psi of
-the call then shifts by gamma times the largest and counts ties among
-those few entries, and every value keeps the bits of the public `lse`,
-which searches its own copy.
+    L(gamma) = log1p(sum_{j != i*} exp(gamma * x_j)) >= 0
 
-The psi and escorts of one call share one scratch array:
-gamma * log w is formed, shifted by its maximum, exponentiated and
-summed in place, so a call on n entries holds log w plus n more
-floats, and calls with a single psi work in place over log w.
+leaves out one maximum i* and adds it back through log1p (Blanchard,
+Higham & Higham, IMA J. Numer. Anal. 41(4), 2021), so orders up to a
+few hundred neither underflow nor overflow, and L keeps its relative
+accuracy when it is as small as 1e-40.  Divided differences of psi come
+from the escort-CGF slope
+
+    D(b, h) = (L(b + h) - L(b)) / h = log1p(e . expm1(h * x)) / h,
+
+with e the b-escort and h >= 0, whose terms all have one sign.  Every
+entropy and cross-entropy of the family is a short expression in m, L
+and D (see `lne.entropy`), with no formula switch near the diagonal.
+
+A call holds x and one exp array: the exp array of L(b) is also the
+b-escort, and D works in place over x.
 
 Every exp of a full-size array goes through `_exp_inplace`, which hands
 numpy's vector exp only arguments whose results are at least 2**-1021.
@@ -48,8 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Mass tolerance for (sub-)probability membership and the window around
-# alpha == beta (and q == 1) inside which the limiting formulas are used.
+# Mass tolerance for (sub-)probability membership, and the window around
+# alpha == beta (and q == 1) inside which the solver takes its
+# exponential branch, the q-logarithm its classical form, and the
+# functionals undefined on the diagonal reject the pair.
 TOL_MASS = 1e-9
 EPS_ORDER = 1e-8
 
@@ -177,22 +181,13 @@ def _exp_inplace(x, x_min=None) -> np.ndarray:
     return x
 
 
-def _lse_shifted(a, a_max, tie, k) -> float:
-    """lse from ``a`` = exp(terms - a_max), overwritten, where ``tie``
-    indexes the k terms equal to a_max.  The tied terms are zeroed rather
-    than dropped: numpy's pairwise sum groups terms by position, so the
-    full length keeps every rounding equal to that of the usual library
-    logsumexp."""
-    a[tie] = 0.0
-    s = a.sum()
-    if s != 0.0:
-        s = s / k
-    return float(np.log1p(s) + (np.log(k) if k > 1 else 0.0) + a_max)
-
-
 def _lse_inplace(a, a_lo=None) -> float:
     """`lse` of a nonempty float64 vector the caller hands over; ``a`` is
-    overwritten.  ``a_lo``, if given, is min(a) or an estimate of it."""
+    overwritten.  ``a_lo``, if given, is min(a) or an estimate of it.
+
+    The terms tying with the maximum are zeroed rather than dropped:
+    numpy's pairwise sum groups terms by position, so the full length
+    keeps every rounding equal to that of the usual library logsumexp."""
     i = a.argmax()  # rather than max, see _min; i is the tie when k == 1
     a_max = a[i]
     if not math.isfinite(a_max):
@@ -202,7 +197,11 @@ def _lse_inplace(a, a_lo=None) -> float:
     tie = a == 0.0
     k = np.count_nonzero(tie)
     _exp_inplace(a, None if a_lo is None else a_lo - a_max)
-    return _lse_shifted(a, a_max, i if k == 1 else tie, k)
+    a[i if k == 1 else tie] = 0.0
+    s = a.sum()
+    if s != 0.0:
+        s = s / k
+    return float(np.log1p(s) + (np.log(k) if k > 1 else 0.0) + a_max)
 
 
 def lse(a) -> float:
@@ -219,121 +218,117 @@ def lse(a) -> float:
     return _lse_inplace(a)
 
 
-# Below this order gamma * log w can hold subnormal products, which tie
-# with the maximum without being near it, so ties are counted over the
-# whole array.  Nonzero entries of log w are at least 2**-54 in
-# magnitude, so from here up every nonzero product is normal.
-_TIE_GAMMA_MIN = 2.0**-960
-
-# Supports shorter than this search each psi for its maximum and ties:
-# there a few passes over the vector cost less than the numpy calls that
-# find the summary.
-_SUMMARY_MIN_SIZE = 4096
-
-
-def _below(x, rel) -> float:
-    """x lowered by rel relative to max(|x|, 1)."""
-    return x - rel * max(abs(x), 1.0)
+_NORMAL_MIN = 2.0**-1022
+_LOG2 = math.log(2.0)
+# exp overflows float64 above this
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class _LogSupport:
-    """log w over the positive support of one weight vector, and one
-    scratch array that every psi and escort of the call writes into.
+    """The positive support of a validated weight vector with smallest
+    and largest entries ``lo`` and ``hi``, shifted by its largest log
+    weight, and the exp array of its last power sum.
 
-    ``lo`` is the log of the smallest positive weight or an estimate of
-    it; gamma * lo tells each exp pass whether it has underflowing lanes.
-    ``hi`` is the same for the largest.  Given ``hi``, the first psi finds
-    what each psi would otherwise search its whole argument for: the
-    index ``i_max`` of the largest log weight (``hi`` is then its exact
-    value), and the candidates that can tie with it at any order.
-    Rounding is monotone, so max(gamma * log w) = gamma * log w[i_max],
-    and two products round to the same value only when their factors lie
-    within a relative 2**-52 of each other: every tie is among the
-    entries within 2**-48 of the maximum, usually one.  Without ``hi``
-    (short supports), and without either (log-weights a caller made
-    itself, like the solver's with -inf entries), each psi searches its
-    argument as `lse` does.
+    ``x`` = log w - m, with m = log(hi) = max log w taken at index ``i``,
+    so x <= 0 and x[i] = 0 at every order.  The log is taken of w * 2**k,
+    with k bringing hi into [1, 2), and shifted by its own maximum: the
+    scaling is exact, so x is accurate to a few ulps of x itself rather
+    than of log w, which on weights near 1e-100 at order 100 is the
+    difference between 1e-12 and 1e-14.  Scaling down is skipped where
+    it would round an entry.  ``lo`` is log(lo) - m or, with zeros in w,
+    min(x): gamma * lo tells an exp pass whether it has underflowing
+    lanes.  `log1p_sum` leaves its exp array ``a`` and that array's sum
+    ``s``, which `escort` and `slope` use instead of a second exp pass.
     """
 
-    __slots__ = ("logw", "lo", "hi", "i_max", "cand", "scratch")
+    __slots__ = ("x", "m", "i", "lo", "a", "s", "_w", "_lo", "_k", "_top")
 
-    def __init__(self, logw, lo=None, hi=None):
-        self.logw = logw
-        self.lo = lo
-        self.hi = hi
-        self.cand = None
-        self.scratch = None
+    def __init__(self, w, lo, hi):
+        k = 1 - math.frexp(hi)[1]  # hi * 2**k in [1, 2)
+        if k < 0 and not math.ldexp(lo, k) >= _NORMAL_MIN:
+            k = 0
+        self._w, self._lo, self._k, self._top = w, lo, k, 0.0
+        x = self._log()
+        self.i = int(x.argmax())
+        self._top = float(x[self.i])
+        x -= self._top
+        self.x, self.m, self.a = x, math.log(hi), None
+        self.lo = math.log(lo) - self.m if lo > 0 else float(_min(x))
 
-    def _find_max(self):
-        logw = self.logw
-        # the entries near the estimated maximum, with room for its error;
-        # the largest of them is the maximum of logw
-        rough = _below(self.hi, 2.0**-40)
-        cand = np.flatnonzero(logw >= rough)
-        i = cand[logw[cand].argmax()] if cand.size else logw.argmax()
-        self.i_max, self.hi = i, float(logw[i])
-        floor = _below(self.hi, 2.0**-48)
-        self.cand = cand if cand.size and floor >= rough else np.flatnonzero(logw >= floor)
+    def _log(self, out=None) -> np.ndarray:
+        """log(w * 2**k) - top over the positive support, into ``out`` (a
+        new array if None), with the same bits every time."""
+        w = self._w
+        if not self._lo > 0:
+            w = out = np.compress(w > 0, w, out=out)
+        if self._k:
+            w = out = np.ldexp(w, self._k, out=out)
+        x = np.log(w, out=out)
+        if self._top:
+            x -= self._top
+        return x
 
-    def _scaled(self, gamma, in_place=False) -> np.ndarray:
-        out = self.logw if in_place else self.scratch
-        self.scratch = np.multiply(self.logw, gamma, out=out)
-        return self.scratch
-
-    def psi(self, gamma, in_place=False) -> float:
-        """psi(gamma) = log sum_i w_i^gamma.  With ``in_place`` log w
-        itself is the scratch, so the support cannot be used again."""
-        if self.hi is None:
-            a = self._scaled(gamma, in_place)
-            return _lse_inplace(a, None if self.lo is None else gamma * self.lo)
-        if self.cand is None:
-            self._find_max()
-        a = self._scaled(gamma, in_place)
-        a_max = self.hi * gamma
-        if not math.isfinite(a_max):
-            return a_max
-        a -= a_max
-        if gamma < _TIE_GAMMA_MIN:
-            tie = a == 0.0
-            k = np.count_nonzero(tie)
-            if k == 1:
-                tie = self.i_max
-        elif self.cand.size == 1:
-            tie, k = self.i_max, 1
-        else:
-            tie = self.cand[a[self.cand] == 0.0]
-            k = tie.size
-        _exp_inplace(a, gamma * self.lo - a_max)
-        return _lse_shifted(a, a_max, tie, k)
+    def log1p_sum(self, gamma, in_place=False) -> float:
+        """L(gamma) = log1p(sum_{j != i} exp(gamma * x_j)) >= 0, so that
+        psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma).  Only the
+        maximum at i is left out of the sum: one tying with it adds 1,
+        and log1p of a sum >= 1 needs no tie count.  With ``in_place``
+        the exp array overwrites x, so the support cannot be used again."""
+        a = np.multiply(self.x, gamma, out=self.x if in_place else self.a)
+        _exp_inplace(a, gamma * self.lo)
+        a[self.i] = 0.0
+        self.a, self.s = a, float(a.sum())
+        return math.log1p(self.s)
 
     def log_norm(self, gamma, in_place=False) -> float:
-        return self.psi(gamma, in_place) / gamma
+        return self.m + self.log1p_sum(gamma, in_place) / gamma
 
-    def escort(self, beta):
-        """(e, psi): the beta-escort exp(beta * logw - psi) of the support,
-        in the scratch array, and psi = psi(beta)."""
-        psi = self.psi(beta)
-        e = self._scaled(beta)
-        e -= psi
-        return _exp_inplace(e, None if self.lo is None else beta * self.lo - psi), psi
+    def escort(self, gamma) -> np.ndarray:
+        """The gamma-escort w^gamma / sum w^gamma, in the exp array."""
+        self.log1p_sum(gamma)
+        a = self.a
+        a[self.i] = 1.0
+        a /= 1.0 + self.s
+        return a
 
+    def slope(self, alpha, beta):
+        """(b, L(b), D) over the orders {alpha, beta}, b the smaller.
 
-def _log_support(w, lo, hi, own=False) -> _LogSupport:
-    """The log-support of a validated weight vector whose smallest and
-    largest entries are ``lo`` and ``hi``; with ``own``, w is the
-    caller's scratch and its log is taken in place."""
-    if lo > 0:
-        logw = np.log(w, out=w if own else None)
-        log_lo = math.log(lo)
-    else:
-        logw = np.log(w[w > 0])
-        log_lo = float(_min(logw))
-    log_hi = math.log(hi) if logw.size >= _SUMMARY_MIN_SIZE else None
-    return _LogSupport(logw, log_lo, log_hi)
+        D = (L(b + h) - L(b)) / h <= 0 with h = |alpha - beta| is the
+        slope of the cumulant generating function of x under the
+        b-escort e = a / (1 + s), and at h = 0 the mean e . x.  With
+        R = e . exp(h x) = exp(h D), D is log1p(e . expm1(h x)) / h while
+        R >= 1/2: every expm1(h x_j) lies in (-1, 0], so the sum has one
+        sign and nothing cancels near the diagonal.  For R < 1/2 that sum
+        has rounded R itself away, and the plain difference of L(b + h) and
+        L(b), at least log 2 apart, keeps it.  By Jensen R >= exp(h e . x),
+        so only pairs with h e . x < -log 2 try the difference first.
+        Consumes x."""
+        b, h = min(alpha, beta), abs(alpha - beta)
+        lb = self.log1p_sum(b)
+        a, x, norm = self.a, self.x, 1.0 + self.s
+        mean = float(a @ x) / norm
+        if h == 0.0:
+            return b, lb, mean
+        if h * mean < -_LOG2:
+            # only L(b + h) - L(b) <= -log 2 is kept, so results below
+            # 2**-1021, which add less than n * 2**-1021 to a sum >= 1,
+            # may be raised to it and stay off numpy's slow exp path
+            u = np.multiply(x, max(alpha, beta), out=x)
+            np.maximum(u, _EXP_FAST_MIN, out=u)
+            np.exp(u, out=u)
+            u[self.i] = 0.0
+            k = math.log1p(float(u.sum())) - lb
+            if k <= -_LOG2:
+                return b, lb, k / h
+            x = self._log(out=x)
+        np.multiply(x, h, out=x)
+        np.expm1(x, out=x)
+        return b, lb, math.log1p(float(a @ x) / norm) / h
 
 
 def _escort(w, lo, hi, beta) -> np.ndarray:
-    e, _ = _log_support(w, lo, hi).escort(beta)
+    e = _LogSupport(w, lo, hi).escort(beta)
     if e.size == w.size:
         return e
     out = np.zeros_like(w)
@@ -344,12 +339,12 @@ def _escort(w, lo, hi, beta) -> np.ndarray:
 def log_norm(w, gamma) -> float:
     """log of the gamma-norm, log[(sum_i w_i^gamma)^(1/gamma)].
 
-    Computed as lse(gamma * log w) / gamma over the positive entries,
-    which keeps orders like gamma = 100 on tiny weights exact to machine
-    precision.
+    Computed as m + L(gamma) / gamma over the positive entries, with
+    m = log(max w), which keeps orders like gamma = 100 on tiny weights
+    exact to machine precision.
     """
     gamma = _check_order(gamma)
-    return _log_support(*as_weights(w, return_range=True)).log_norm(gamma, in_place=True)
+    return _LogSupport(*as_weights(w, return_range=True)).log_norm(gamma, in_place=True)
 
 
 def escort(w, beta) -> np.ndarray:

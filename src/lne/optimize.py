@@ -48,9 +48,9 @@ import numpy as np
 from .numkit import (
     EPS_ORDER,
     EntropyParams,
-    _LogSupport,
     _check_order,
     _escort,
+    _lse_inplace,
     as_weights,
     lse,
 )
@@ -274,10 +274,13 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
         lw, clamped = _log_weights(lam, dg, d, log_prior, prior_terms)
         if d is not None and d < 0 and clamped.any():
             return np.inf, lw, clamped
-        return _LogSupport(lw).psi(alpha), lw, clamped
+        return _lse_inplace(alpha * lw), lw, clamped
 
     def residual(lw):
-        e, log_sb = _LogSupport(lw).escort(beta)
+        e = beta * lw
+        log_sb = _lse_inplace(e)
+        # the beta-escort, over the array lse took
+        e = np.exp(np.subtract(np.multiply(lw, beta, out=e), log_sb, out=e), out=e)
         return dg @ e, e, log_sb
 
     lam = np.zeros(cset.m)

@@ -177,6 +177,17 @@ class TestRelativeEntropyBridge:
             scaled = relative_entropy_bridge(0.25 * p, q, (2.0, 0.7), require_equal_mass=False)
         assert scaled == pytest.approx(base, abs=1e-12)
 
+    def test_tiny_beta_stays_finite(self):
+        # beta log||Q||_beta = psi(beta) is finite at beta = 1e-310 even
+        # though log||Q||_beta overflows; the bridge once returned -inf
+        import mp_reference as R
+
+        p = np.array([0.2, 0.5, 0.3])
+        q = np.array([0.3, 0.4, 0.3])
+        for prm in ((0.09596599577714067, 1e-310), (2.0, 1e-300)):
+            re = relative_entropy_bridge(p, q, prm)
+            assert R.rel_err(re, R.relative_entropy_bridge(p, q, *prm)) <= 1e-13, prm
+
     def test_empirical_nonnegativity_observed(self):
         # nonnegativity of the bridged relative entropy is not proved in
         # the source material; record what the draws show without

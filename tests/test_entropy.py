@@ -81,6 +81,31 @@ class TestTsallis:
         with pytest.raises(ValueError):
             tsallis([0.25, 0.25], 2.0)
 
+    def test_continuous_through_q_one(self):
+        # a mass inside the tolerance, 1 + 5e-10, once made the raw
+        # (1 - sum p^q) / (q - 1) jump from 1.0047 at q = 1 + 2e-8 to the
+        # Shannon value 1.0297 at q = 1 + 5e-9; the value normalizes by
+        # sum p and is continuous through q = 1
+        import mp_reference as R
+
+        p = np.array([0.5, 0.3, 0.2]) * (1.0 + 5e-10)
+        for q in (1.0 - 1e-7, 1.0 - 2e-8, 1.0 - 5e-9, 1.0, 1.0 + 5e-9, 1.0 + 2e-8, 1.0 + 1e-7):
+            assert R.rel_err(tsallis(p, q), R.tsallis(p, q)) <= 1e-12, q
+
+    @pytest.mark.parametrize(
+        "p, q, expected",
+        [
+            ([0.5, 0.3, 0.2], 0.0, 2.0),
+            ([0.5, 0.3, 0.2], -0.5, 2.9840155988156254),
+            ([0.7, 0.0, 0.2, 0.07, 0.03], 0.0, 3.0),
+            ([0.7, 0.0, 0.2, 0.07, 0.03], -0.5, 7.989629339215142),
+            ([1e-300, 0.25, 0.75], -0.5, 6.666666666666588e149),
+        ],
+    )
+    def test_nonpositive_orders_keep_raw_formula(self, p, q, expected):
+        # orders <= 0 sum p^q as it is, as before the shifted support
+        assert float(tsallis(p, q)) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_qdeform_identity(self):
         # cross-check against -sum p^q log_q(p)
         rng = np.random.default_rng(12)

@@ -14,6 +14,7 @@ from lne import (
     kapur,
     lnce,
     lne,
+    lne_min_entropy_limit,
     log_norm,
     majorizes,
     product_compose,
@@ -22,7 +23,9 @@ from lne import (
     shannon,
     tsallis,
 )
-from lne.numkit import _SUMMARY_MIN_SIZE, _exp_inplace, _LogSupport, lse
+from lne.numkit import _exp_inplace, lse
+
+import mp_reference as R
 
 
 class TestWeightValidation:
@@ -218,49 +221,38 @@ class TestKernelMemory:
             assert peak <= 2.5, (name, peak)
 
 
-def _ref_log_support(w):
-    return np.log(w[w > 0])
-
-
-def _ref_psi(w, gamma):
-    # the public lse searches its own copy for the maximum and the ties
-    return lse(gamma * _ref_log_support(w))
-
-
-def _ref_escort(w, beta):
-    psi = _ref_psi(w, beta)
-    out = np.zeros_like(w)
-    out[w > 0] = np.exp(beta * _ref_log_support(w) - psi)
-    return out
-
-
-def _ref_lne(w, alpha, beta):
-    p = EntropyParams(alpha, beta)
-    if p.equal_orders:
-        logw = _ref_log_support(w)
-        psi = _ref_psi(w, beta)
-        ad = -float(np.exp(beta * logw - psi) @ logw)
-        return beta * (ad + psi / beta) + 0.0  # as EntropyValue rounds -0.0
-    return alpha * beta / (alpha - beta) * (_ref_psi(w, beta) / beta - _ref_psi(w, alpha) / alpha) + 0.0
-
-
-def _ref_renyi(w, alpha):
-    mass = w.sum()
-    return _ref_psi(w / mass, alpha) / (1.0 - alpha) - math.log(mass) + 0.0
-
-
 class TestSupportSummary:
-    """Each psi of a call takes the maximum, the entries that can tie with
-    it and an estimate of the minimum from one search per call.  The
-    values must be those of compositions of the public `lse`, which
-    searches its own array, and np.exp, bit for bit."""
+    """Each call takes one summary of its support: the largest log weight
+    m, its index and an estimate of the smallest.  Every power sum of the
+    call is then log1p of a sum over log w - m with one maximum left out,
+    and needs no per-order search for ties.  Values are held against an
+    mpmath reference at 110 digits, written in the same shifted log1p
+    form, on the inputs that once set ties and the search apart."""
 
     ORDERS = (1e-310, 0.3, 2.0, 6.0, 100.0)
 
     @staticmethod
+    def _check(got, ref, tol, *where):
+        err = R.rel_err(got, ref)
+        assert err <= tol, (err, float(got), *where)
+
+    @classmethod
+    def _check_escort(cls, w, gamma):
+        e = escort(w, gamma)
+        ref = R.escort(w, gamma)
+        assert not e[w == 0].any()
+        top = math.log(w.max())
+        for v, r in ref.items():
+            # rounding gamma * log(v / max w) alone moves the exp by
+            # 2**-53 times that exponent
+            tol = 1e-13 + 2.0**-52 * gamma * (top - math.log(v))
+            got = e[w == v]
+            cls._check(got.min(), r, tol, "escort", gamma, v)
+            cls._check(got.max(), r, tol, "escort", gamma, v)
+
+    @staticmethod
     def _tiled(small):
-        # short supports search each psi; long ones use the summary
-        return [small, np.tile(small, -(-_SUMMARY_MIN_SIZE // small.size))]
+        return [small, np.tile(small, -(-4096 // small.size))]
 
     @classmethod
     def _vectors(cls, gamma):
@@ -276,73 +268,70 @@ class TestSupportSummary:
             yield from cls._tiled(small)
         for n in (7, 64, 1000, 100_000):
             # per 8-lane vector: normal, subnormal-result and zero-result
-            # exp lanes at this order (where gamma reaches them), ties and zeros
-            w = rng.uniform(0.05, 1.0, n)
+            # exp lanes at this order (where gamma reaches them), ties and
+            # zeros; drawn from a few dozen distinct values, so that the
+            # reference costs the same at every length
+            w = rng.choice(rng.uniform(0.05, 1.0, 61), n)
             with np.errstate(over="ignore"):
-                w[1::8] = np.exp(rng.uniform(-745.0, -708.0, w[1::8].size) / gamma)
-                w[3::8] = np.maximum(np.exp(rng.uniform(-2000.0, -750.0, w[3::8].size) / gamma), 1e-320)
-            w[1::8] = np.clip(w[1::8], 1e-320, 0.04)
-            w[3::8] = np.clip(w[3::8], 1e-320, 0.04)
+                sub = np.exp(rng.uniform(-745.0, -708.0, 13) / gamma)
+                zero = np.maximum(np.exp(rng.uniform(-2000.0, -750.0, 13) / gamma), 1e-320)
+            w[1::8] = rng.choice(np.clip(sub, 1e-320, 0.04), w[1::8].size)
+            w[3::8] = rng.choice(np.clip(zero, 1e-320, 0.04), w[3::8].size)
             w[rng.integers(n, size=3)] = 1.0
             if n > 64:
                 w[5::8] = 0.0
             yield w
 
     @pytest.mark.parametrize("gamma", ORDERS)
-    def test_matches_public_lse_compositions(self, gamma):
+    def test_matches_mpmath(self, gamma):
         for w in self._vectors(gamma):
-            assert _same_bits(log_norm(w, gamma), _ref_psi(w, gamma) / gamma)
-            assert escort(w, gamma).tobytes() == _ref_escort(w, gamma).tobytes()
+            where = (gamma, w.size)
+            self._check(log_norm(w, gamma), R.log_norm(w, gamma), 1e-13, "log_norm", *where)
+            self._check_escort(w, gamma)
             for beta in (1.7, gamma, gamma * (1.0 + 1e-7)):
-                assert _same_bits(lne(w, (gamma, beta)), _ref_lne(w, gamma, beta)), beta
-            assert _same_bits(renyi(w, gamma), _ref_renyi(w, gamma))
+                self._check(lne(w, (gamma, beta)), R.lne(w, gamma, beta), 5e-13, "lne", beta, *where)
+            self._check(renyi(w, gamma), R.renyi(w, gamma), 1e-13, "renyi", *where)
 
     def test_ties_from_rounding(self):
-        # log weights one ulp apart whose products with gamma round to the
-        # same value: ties that the log weights themselves do not show
+        # log weights one ulp apart, whose products with gamma round to
+        # the same value at some orders
         top = np.nextafter(np.nextafter(-4.6, 0.0), 0.0)
-        logw = np.array([-4.6, np.nextafter(-4.6, 0.0), -7.0, top] * 3)
-        rounded_ties = 0
-        for gamma in np.linspace(0.3, 7.0, 201):
-            sup = _LogSupport(logw.copy(), -7.0, float(top))
-            assert _same_bits(sup.psi(gamma), lse(gamma * logw)), gamma
-            rounded_ties += np.count_nonzero(gamma * logw == gamma * top) > 1
-        assert rounded_ties >= 3
+        w = np.exp(np.array([-4.6, np.nextafter(-4.6, 0.0), -7.0, top] * 3))
+        for gamma in np.linspace(0.3, 7.0, 41):
+            self._check(log_norm(w, gamma), R.log_norm(w, gamma), 1e-13, "log_norm", gamma)
+            self._check(
+                lne_min_entropy_limit(w, gamma), R.lne_min_entropy_limit(w, gamma), 5e-13, gamma
+            )
 
     def test_subnormal_products_tie(self):
         # gamma * log(1 - 1e-14) rounds to -0.0 at gamma = 1e-310, and
-        # gamma * log(1 - 1e-12) at gamma = 1e-312: both tie with
-        # gamma * log 1 = 0 from farther away than any candidate margin.
-        # Products near gamma * log(0.6) are subnormal and tie the same way.
+        # gamma * log(1 - 1e-12) at gamma = 1e-312: every term of the sum
+        # is then exp(-0.0) or exp(subnormal) = 1, with k maxima among n
         w = np.array([1.0, 1.0 - 2.0**-53, 0.5, 1.0 - 2.0**-52] + [1.0 - 1e-14] * 4)
         v = np.array([0.6, 0.6 * (1.0 - 2e-14), 0.6 * (1.0 - 1e-14), 0.1] * 2)
         vectors = self._tiled(w) + self._tiled(v)
-        # every term is exp(-0.0) or exp(subnormal) = 1 here, and log k +
-        # log1p((n - k) / k) has other bits than log1p(n - 1) for most (n, k)
         for n in range(2, 10):
             for k in range(2, n + 1):
                 for eps in (1e-14, 1e-12):
-                    x = np.array([1.0] + [1.0 - eps] * (k - 1) + [0.5] * (n - k))
-                    vectors += self._tiled(x)
+                    vectors.append(np.array([1.0] + [1.0 - eps] * (k - 1) + [0.5] * (n - k)))
         for gamma in (1e-310, 1e-312, 2.0**-961, 2.0**-959):
             for x in vectors:
-                # psi / gamma overflows here; kapur takes psi(gamma) as it is
-                expected = (_ref_psi(x, 2.0) - _ref_psi(x, gamma)) / (gamma - 2.0)
-                assert _same_bits(kapur(x, gamma, 2.0), expected), (gamma, x)
-                assert _same_bits(log_norm(x, gamma), _ref_psi(x, gamma) / gamma), (gamma, x)
+                # log_norm = m + L / gamma overflows here, as the reference does
+                self._check(kapur(x, gamma, 2.0), R.kapur(x, gamma, 2.0), 1e-13, gamma, x)
+                self._check(log_norm(x, gamma), R.log_norm(x, gamma), 1e-13, gamma, x)
 
-    def test_maximum_estimate_only_speeds_the_search(self):
-        # an estimate of the maximum far off either way falls back to the
-        # full search: too high finds no candidate, too low too many
+    def test_tied_maxima_at_any_order(self):
+        # one maximum is left out of each sum and the others add 1 each,
+        # wherever they sit and however many there are
         rng = np.random.default_rng(26)
-        logw = np.log(rng.uniform(0.05, 1.0, 1000))
-        logw[[3, 500]] = logw.max()
-        ties = set(np.flatnonzero(logw == logw.max()))
-        for hi in (0.0, 50.0, -50.0, float(logw.max())):
-            for gamma in (0.3, 6.0):
-                sup = _LogSupport(logw.copy(), float(logw.min()), hi)
-                assert _same_bits(sup.psi(gamma), lse(gamma * logw)), (hi, gamma)
-                assert sup.hi == logw.max() and ties <= set(sup.cand)
+        w = rng.choice(rng.uniform(0.05, 0.9, 37), 10_000)
+        for k in (1, 2, 3, 1000):
+            w[rng.choice(w.size, k, replace=False)] = 0.9
+            for gamma in (1e-310, 0.3, 6.0, 1e4):
+                self._check(
+                    lne_min_entropy_limit(w, gamma), R.lne_min_entropy_limit(w, gamma), 5e-13, k, gamma
+                )
+                self._check(aczel_daroczy(w, gamma), R.aczel_daroczy(w, gamma), 1e-13, k, gamma)
 
 
 class TestLogNorm:

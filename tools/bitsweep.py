@@ -11,8 +11,18 @@ bits exactly when their outputs for the same seed are identical:
     diff old.txt new.txt
 
 ``--src`` picks the ``src/`` directory the library is imported from
-(default: the one next to this file).  Only functions and arguments
-that long-standing checkouts have are called.  Inputs include zero
+(default: the one next to this file).  With ``--ref``, every scalar
+entropy or cross-entropy value on vectors of at most 64 entries also
+gets its relative error against the high-precision reference of the
+test suite (``tests/mp_reference.py`` next to this file, whatever
+``--src`` is), so that a diff of two checkouts lists each changed value
+with the error of both:
+
+    python3 tools/bitsweep.py --ref > new.txt
+    python3 tools/bitsweep.py --ref --src ../parent/src > old.txt
+
+Only functions and arguments that long-standing checkouts have are
+called.  Inputs include zero
 entries, tied maxima, maxima one ulp apart, entries down to 1e-320,
 orders from 1e-310 to 1e4, diagonal and near-diagonal order pairs,
 invalid vectors and orders, and a few vectors long enough (up to 1e5)
@@ -74,10 +84,13 @@ def _input_hash(args) -> str:
 
 
 def _outcome(fn, args):
+    """(description, value): the value is None when the call raised."""
+    value = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = _digest(fn(*args))
+            value = fn(*args)
+            out = _digest(value)
         except Exception as e:  # the exception is part of the outcome
             out = f"raise {type(e).__name__}: {e}"
             best = getattr(e, "best", None)
@@ -85,7 +98,7 @@ def _outcome(fn, args):
                 out += f" best={_digest(best)}"
     for w in caught:
         out += f" | warn {w.category.__name__}: {w.message}"
-    return out
+    return out, value
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +370,40 @@ def _cli_calls(rng):
             yield "cli minxent", run, ("minxent", "--input", path)
 
 
+# the families with a reference; each takes the call's first four
+# arguments at most (lnce's and the bridge's fifth is the mass check)
+_REFERENCED = (
+    "shannon", "renyi", "tsallis", "aczel_daroczy", "lne_min_entropy_limit", "log_norm",
+    "lne", "kapur", "norm_entropy", "gm_subadditivity_rhs", "lnce", "relative_entropy_bridge",
+)
+
+
+def _ref_error(name, value, fargs) -> str:
+    """" | ref <relative error>" for a scalar value of a referenced family
+    on vectors of at most 64 entries, else ""."""
+    import mp_reference as R
+
+    if name not in _REFERENCED or not isinstance(value, float):
+        return ""
+    if any(isinstance(a, np.ndarray) and a.size > 64 for a in fargs):
+        return ""
+    return f" | ref {R.rel_err(value, getattr(R, name)(*fargs[:4])):.2e}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--calls", type=int, default=50_000, help="seeded API calls before the fixed ones")
     ap.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"))
+    ap.add_argument("--ref", action="store_true", help="append errors against the mpmath reference")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
+    if args.ref:
+        sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests"))
     for i, (name, fn, fargs) in enumerate(calls(args.seed, args.calls)):
-        print(f"{i} {name} {_input_hash(fargs)} {_outcome(fn, fargs)}")
+        out, value = _outcome(fn, fargs)
+        line = f"{i} {name} {_input_hash(fargs)} {out}"
+        print(line + (_ref_error(name, value, fargs) if args.ref else ""))
 
 
 if __name__ == "__main__":
