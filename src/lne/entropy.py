@@ -33,7 +33,6 @@ import numpy as np
 from .numkit import (
     EPS_ORDER,
     TOL_MASS,
-    _LOG_FLOAT_MAX,
     EntropyParams,
     _check_order,
     _exp_inplace,
@@ -225,12 +224,4 @@ def gm_subadditivity_rhs(p, q, params) -> float:
         b, lb, d = sup.slope(alpha, beta)
         ent.append(lb - b * d)
         lw.append(alpha * (sup.m + (lb + (beta - b) * d) / beta))  # alpha * log||w||_beta
-    if abs(lr * (ent[0] - ent[1])) > _LOG_FLOAT_MAX:
-        return (lse([lw[0] + lr * ent[0], lw[1] + lr * ent[1]]) - lse(lw)) / lr
-    # log of the weighted mean of exp(lr E), with the mean of E taken out:
-    # near the diagonal the difference of the two lse above cancels
-    top = max(lw)
-    wt = [math.exp(v - top) for v in lw]
-    mean = (wt[0] * ent[0] + wt[1] * ent[1]) / (wt[0] + wt[1])
-    tilt = sum(wk * math.expm1(lr * (ek - mean)) for wk, ek in zip(wt, ent))
-    return mean + math.log1p(tilt / (wt[0] + wt[1])) / lr
+    return (lse([lw[0] + lr * ent[0], lw[1] + lr * ent[1]]) - lse(lw)) / lr

@@ -50,6 +50,7 @@ from .numkit import (
     EntropyParams,
     _check_order,
     _escort,
+    _exp_inplace,
     _lse_inplace,
     as_weights,
     lse,
@@ -280,7 +281,9 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
         e = beta * lw
         log_sb = _lse_inplace(e)
         # the beta-escort, over the array lse took
-        e = np.exp(np.subtract(np.multiply(lw, beta, out=e), log_sb, out=e), out=e)
+        np.multiply(lw, beta, out=e)
+        e -= log_sb
+        _exp_inplace(e)
         return dg @ e, e, log_sb
 
     lam = np.zeros(cset.m)

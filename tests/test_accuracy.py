@@ -138,3 +138,21 @@ def test_slope_when_jensen_bound_is_loose(zeros):
     for a, b in ((1.01, 0.01), (3.0, 0.02)):
         _check(kapur(w, a, b), R.kapur(w, a, b), TOL, "kapur", a, b)
         _check(lne(w, (a, b)), R.lne(w, a, b), TOL_WIDE, "lne", a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_log_norm_near_zero_to_ulps_of_m(seed):
+    # a probability vector at an order near 1 has a norm near 1: log_norm
+    # = m + L / gamma cancels, so it is held to a few ulps of m = log(max w)
+    # in absolute terms, not to TOL relative to a value that may be ~1e-17
+    rng = np.random.default_rng([47, seed])
+    for case in range(10):
+        n = int(rng.integers(2, 65))
+        w = rng.uniform(0.0, 1.0, n)
+        w /= w.sum()
+        m = math.log(w.max())
+        for g in (1.0, 1.0 + 1e-8, 1.0 - 1e-8, 1.0 + 4e-4, 1.0 - 4e-4):
+            got = log_norm(w, g)
+            ref = R.log_norm(w, g)
+            err = abs(float(ref - got))
+            assert err <= 4.0 * np.spacing(abs(m)), (err, got, float(ref), seed, case, n, g)
