@@ -138,7 +138,7 @@ def check_cross_entropy(seed, tol):
 
 
 def check_solvers(seed, tol):
-    cfg = SolverConfig(tol_residual=min(tol, 1e-10), seed=seed)
+    cfg = SolverConfig(tol_residual=min(tol, 1e-10))
     cset = ConstraintSet([[0.0, 1.0, 2.0]], [0.8])
     for prm in (EntropyParams(2.0, 1.0), EntropyParams(1.0, 1.0), EntropyParams(0.5, 2.0)):
         sol = solve_maxent(3, cset, prm, cfg)

@@ -105,7 +105,7 @@ def _number_list(x, field):
     return [_number(v, f"{field}[{i}]") for i, v in enumerate(x)]
 
 
-_SOLVER_FIELDS = ("tol_residual", "max_iter", "damping", "fd_step", "restarts", "seed")
+_SOLVER_FIELDS = ("tol_residual", "max_iter")
 
 
 def load_problem(path):
@@ -188,8 +188,6 @@ def _solver_config(problem, args):
     fields = dict(problem["solver"])
     if args.tol is not None:
         fields["tol_residual"] = args.tol
-    if args.seed is not None:
-        fields["seed"] = args.seed
     return SolverConfig(**fields)
 
 
@@ -220,8 +218,6 @@ def cmd_entropy(args):
 def cmd_curve(args):
     if not (0.0 < args.step <= 0.5):
         raise ProblemError(f"--step must lie in (0, 0.5], got {args.step}")
-    if args.alpha is None or not args.betas:
-        raise ProblemError("--alpha and --beta are required")
     betas = [EntropyParams(args.alpha, b).beta for b in args.betas]
     k = round(1.0 / args.step)
     log.info("bernoulli sweep: alpha=%s betas=%s grid=%d", args.alpha, betas, k + 1)
@@ -259,12 +255,10 @@ def binomial_weights(n, p):
 
 
 def cmd_surface(args):
-    if args.n is None or args.n < 1:
+    if args.n < 1:
         raise ProblemError("--n must be a positive integer")
-    if args.p is None or not (0.0 <= args.p <= 1.0):
+    if not (0.0 <= args.p <= 1.0):
         raise ProblemError("--p must lie in [0, 1]")
-    if not args.alphas or not args.betas:
-        raise ProblemError("--alpha and --beta grids are required")
     alphas = [EntropyParams(a, 1.0).alpha for a in args.alphas]
     betas = [EntropyParams(1.0, b).beta for b in args.betas]
     w = binomial_weights(args.n, args.p)
@@ -338,12 +332,15 @@ def cmd_minxent(args):
 def cmd_check(args):
     seed = 0 if args.seed is None else args.seed
     tol = 1e-10 if args.tol is None else args.tol
-    for name, ok, detail in run_checks(seed=seed, tol=tol):
-        if not ok:
-            _write(f"FAIL {name}: {detail}\n", args.output)
-            return 1
-        _write(f"ok {name}: {detail}\n", args.output)
-    return 0
+    lines = []
+    try:
+        for name, ok, detail in run_checks(seed=seed, tol=tol):
+            lines.append(f"{'ok' if ok else 'FAIL'} {name}: {detail}\n")
+            if not ok:
+                break
+    finally:  # a check that raises still leaves the lines before it
+        _write("".join(lines), args.output)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +399,6 @@ def _build_parser():
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--alpha", type=float, help="order (overrides the file)")
         p.add_argument("--beta", type=float, help="order (overrides the file)")
-        p.add_argument("--seed", type=int, help="ignored (solves are deterministic)")
         p.add_argument("--tol", type=float, help="residual tolerance (overrides the file)")
         common(p)
         p.set_defaults(func=cmd_maxent if name == "maxent" else cmd_minxent)

@@ -181,9 +181,9 @@ def _exp_inplace(x, x_min=None) -> np.ndarray:
     return x
 
 
-def _lse_inplace(a, a_lo=None) -> float:
+def _lse_inplace(a) -> float:
     """`lse` of a nonempty float64 vector the caller hands over; ``a`` is
-    overwritten.  ``a_lo``, if given, is min(a) or an estimate of it.
+    overwritten.
 
     The terms tying with the maximum are zeroed rather than dropped:
     numpy's pairwise sum groups terms by position, so the full length
@@ -196,7 +196,7 @@ def _lse_inplace(a, a_lo=None) -> float:
     # a == 0 is exactly the set tying with the maximum
     tie = a == 0.0
     k = np.count_nonzero(tie)
-    _exp_inplace(a, None if a_lo is None else a_lo - a_max)
+    _exp_inplace(a)
     a[i if k == 1 else tie] = 0.0
     s = a.sum()
     if s != 0.0:

@@ -145,17 +145,10 @@ _EMPTY = ConstraintSet(np.empty((0, 0)), np.empty(0))
 class SolverConfig:
     """Stopping rule of the Newton iteration: converged once the largest
     escort residual is at most ``tol_residual``, within ``max_iter`` steps.
-
-    ``damping``, ``fd_step``, ``restarts`` and ``seed`` are accepted for
-    compatibility and ignored.
     """
 
     tol_residual: float = 1e-10
     max_iter: int = 200
-    damping: float = 1.0
-    fd_step: float = 1e-7
-    restarts: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.tol_residual > 0 and np.isfinite(self.tol_residual)):
@@ -167,6 +160,12 @@ class SolverConfig:
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         object.__setattr__(self, "max_iter", max_iter)
+
+    @property
+    def restarts(self) -> int:
+        """Always 0, and read-only: the iteration runs once, from zero
+        multipliers.  Kept for code that reads the former field."""
+        return 0
 
 
 @dataclass(frozen=True)
@@ -219,31 +218,32 @@ def _check_setup(n, constraints, params, cfg):
     return n, cset, params, cfg or SolverConfig()
 
 
-def _prior_terms(log_prior, d):
+def _prior_terms(prior, d):
     """(lw0, prior^-d, zero): what `_log_weights` needs of the prior, for
     one solve.  lw0 is log prior with 0 at zero priors (0.0 without a
     prior), and zero marks the zero priors, or is None if there are none."""
-    if log_prior is None:
+    if prior is None:
         return 0.0, None, None
-    zero = log_prior == -np.inf
-    lw0 = np.where(zero, 0.0, log_prior)
+    zero = prior == 0
+    lw0 = np.log(np.where(zero, 1.0, prior))
     return lw0, np.exp(-d * lw0), zero if zero.any() else None
 
 
-def _log_weights(lam, dg, d, log_prior, prior_terms=None):
+def _log_weights(lam, dg, d, terms):
     """Log of the unnormalized stationary weights at multipliers ``lam``,
-    log(bracket) / d, or the exponent of the exponential branch (d None).
-    ``prior_terms`` is `_prior_terms(log_prior, d)`, computed here if not
-    given.
+    log(bracket) / d, or the exponent of the exponential branch (d = 0).
+    ``terms`` is `_prior_terms(prior, d)`.
 
     Returns (logw, clamped) where clamped marks states whose bracket is
     nonpositive (logw = -inf, zero probability).
     """
+    lw0, scale, zero = terms
     s = lam @ dg
-    if d is None:  # equal orders: exponential branch
-        lw = s if log_prior is None else log_prior + s
+    if d == 0.0:  # equal orders: exponential branch, where nothing clamps
+        lw = lw0 + s
+        if zero is not None:
+            lw[zero] = -np.inf
         return lw, np.zeros(s.shape, dtype=bool)
-    lw0, scale, zero = prior_terms or _prior_terms(log_prior, d)
     # bracket / prior^d - 1 (bracket - 1 without a prior, exact as d -> 0):
     # forming prior^d + d*s instead cancels when the bracket is small next
     # to prior^d
@@ -261,19 +261,16 @@ def _log_weights(lam, dg, d, log_prior, prior_terms=None):
     return lw, clamped
 
 
-def _solve_lagrange(n, cset, params, cfg, log_prior):
-    """Newton's method with backtracking on the potential log G; shared
-    by both solvers."""
+def _solve_lagrange(cset, params, cfg, d, terms, branch):
+    """Newton's method with backtracking on the potential log G."""
     alpha, beta = params.alpha, params.beta
-    d = None if params.equal_orders else alpha - beta
     dg = cset.g - cset.targets[:, None]
-    prior_terms = None if d is None else _prior_terms(log_prior, d)
 
     def potential(lam):
         """(log G, logw, clamped) at ``lam``; G is +inf once a bracket
         with a negative exponent a/d reaches zero."""
-        lw, clamped = _log_weights(lam, dg, d, log_prior, prior_terms)
-        if d is not None and d < 0 and clamped.any():
+        lw, clamped = _log_weights(lam, dg, d, terms)
+        if d < 0 and clamped.any():
             return np.inf, lw, clamped
         return _lse_inplace(alpha * lw), lw, clamped
 
@@ -297,7 +294,7 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
         if res_norm <= cfg.tol_residual or iterations == cfg.max_iter:
             break
         # e_i / bracket_i, with bracket_i = exp(d * logw_i); zero where clamped
-        if d is None:
+        if d == 0.0:
             u = e
         elif clamped.any():
             u = np.exp((beta - d) * np.where(clamped, 0.0, lw) - log_sb)
@@ -349,7 +346,7 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
         p=p,
         lambdas=lam.copy(),
         Z=float(np.exp(log_z)),
-        branch="exponential" if params.equal_orders else "power_law",
+        branch=branch,
         report=report,
     )
     if not converged:
@@ -361,15 +358,26 @@ def _solve_lagrange(n, cset, params, cfg, log_prior):
     return sol
 
 
-def _trivial_solution(weights, params, branch):
-    w = np.asarray(weights, dtype=float)
-    z = float(w.sum())
-    report = SolverReport(
-        iterations=0, final_residual_norm=0.0, converged=True, restarts_used=0
-    )
-    return MaxEntSolution(
-        p=w / z, lambdas=np.empty(0), Z=z, branch=branch, report=report
-    )
+def _solve(prior, n, constraints, params, cfg):
+    """The solve both entry points share; ``prior`` is None for MaxEnt."""
+    n, cset, params, cfg = _check_setup(n, constraints, params, cfg)
+    # the diagonal is the d -> 0 limit of the bracket: the exponential branch
+    d = 0.0 if params.equal_orders else params.alpha - params.beta
+    if d < 0 and prior is not None and np.any(prior == 0):
+        bad = np.nonzero(prior == 0)[0]
+        raise ValueError(
+            f"prior is zero on states {bad.tolist()}: the bracket form needs "
+            "prior^(alpha-beta) with alpha < beta"
+        )
+    branch = "exponential" if d == 0.0 else "power_law"
+    if cset.m == 0:
+        w = np.ones(n) if prior is None else prior
+        z = float(w.sum())
+        report = SolverReport(
+            iterations=0, final_residual_norm=0.0, converged=True, restarts_used=0
+        )
+        return MaxEntSolution(p=w / z, lambdas=np.empty(0), Z=z, branch=branch, report=report)
+    return _solve_lagrange(cset, params, cfg, d, _prior_terms(prior, d), branch)
 
 
 def solve_maxent(n, constraints, params, cfg=None) -> MaxEntSolution:
@@ -379,11 +387,7 @@ def solve_maxent(n, constraints, params, cfg=None) -> MaxEntSolution:
     With no constraints the maximizer is exactly uniform.  Power-law
     branch for alpha != beta, exponential (MBG) branch on the diagonal.
     """
-    n, cset, params, cfg = _check_setup(n, constraints, params, cfg)
-    branch = "exponential" if params.equal_orders else "power_law"
-    if cset.m == 0:
-        return _trivial_solution(np.ones(n), params, branch)
-    return _solve_lagrange(n, cset, params, cfg, None)
+    return _solve(None, n, constraints, params, cfg)
 
 
 def solve_minxent(prior, constraints, params, cfg=None) -> MaxEntSolution:
@@ -394,19 +398,7 @@ def solve_minxent(prior, constraints, params, cfg=None) -> MaxEntSolution:
     prior coincides with `solve_maxent` under the same constraints.
     """
     prior = as_weights(prior, "prior")
-    n, cset, params, cfg = _check_setup(prior.size, constraints, params, cfg)
-    if not params.equal_orders and params.alpha < params.beta and np.any(prior == 0):
-        bad = np.nonzero(prior == 0)[0]
-        raise ValueError(
-            f"prior is zero on states {bad.tolist()}: the bracket form needs "
-            "prior^(alpha-beta) with alpha < beta"
-        )
-    branch = "exponential" if params.equal_orders else "power_law"
-    if cset.m == 0:
-        return _trivial_solution(prior, params, branch)
-    with np.errstate(divide="ignore"):
-        log_prior = np.where(prior > 0, np.log(np.where(prior > 0, prior, 1.0)), -np.inf)
-    return _solve_lagrange(n, cset, params, cfg, log_prior)
+    return _solve(prior, prior.size, constraints, params, cfg)
 
 
 # ---------------------------------------------------------------------------

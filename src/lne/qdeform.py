@@ -10,16 +10,15 @@ inverse, exp_q(log_q(x)) = x, and obeys the deformed product rules
     exp_q(x) exp_q(y) = exp_q(x + y + (1-q) x y),
     log_q(x y) = log_q(x) + log_q(y) + (1-q) log_q(x) log_q(y).
 
-Within EPS_ORDER of q = 1 the classical functions are used directly:
-the deformed expressions lose ~8 digits there from the 1/(1-q) factor.
-Elsewhere expm1/log1p formulations keep full precision.
+At q = 1 the classical functions are used; elsewhere the expm1/log1p
+formulations keep full precision, however close q is to 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numkit import EPS_ORDER, _min
+from .numkit import _min
 
 __all__ = ["q_log", "q_exp"]
 
@@ -45,7 +44,7 @@ def q_log(x, q):
     lo, hi = _range(arr)
     if not (lo > 0 and hi < np.inf):  # nan fails both
         raise ValueError("q_log requires finite x > 0")
-    if abs(1.0 - q) <= EPS_ORDER:
+    if q == 1.0:
         out = np.log(arr)
     else:
         out = np.expm1((1.0 - q) * np.log(arr)) / (1.0 - q)
@@ -66,7 +65,7 @@ def q_exp(x, q):
     lo, hi = _range(arr)
     if not (-np.inf < lo and hi < np.inf):  # nan fails both
         raise ValueError("q_exp requires finite x")
-    if abs(1.0 - q) <= EPS_ORDER:
+    if q == 1.0:
         out = np.exp(arr)
         return float(out) if np.isscalar(x) else out
 

@@ -292,7 +292,7 @@ class TestSolverCommands:
                 {"g": [0, 1, 2, 3], "G": 2.1},
                 {"g": [1, 0, 1, 0], "G": 0.3},
             ],
-            solver={"max_iter": 1, "restarts": 0, "damping": 1e-9},
+            solver={"max_iter": 1},
         )
         code, out, err = run_cli(capsys, "maxent", "--input", path)
         assert code == 3
@@ -319,11 +319,74 @@ class TestSolverCommands:
             params={"alpha": 2, "beta": 1},
             constraints=[{"g": [0, 1, 2], "G": 0.8}],
         )
-        code, out, _ = run_cli(
-            capsys, "maxent", "--input", path, "--seed", "7", "--tol", "1e-12"
-        )
+        code, out, _ = run_cli(capsys, "maxent", "--input", path, "--tol", "1e-12")
         assert code == 0
         assert float(parse_record(out)["residual_norm"]) <= 1e-12
+        # solves are deterministic: there is no seed to set
+        code, out, _ = run_cli(capsys, "maxent", "--input", path, "--seed", "7")
+        assert code == 2 and out == ""
+        path = write_problem(
+            tmp_path,
+            weights=[1, 1, 1],
+            params={"alpha": 2, "beta": 1},
+            constraints=[{"g": [0, 1, 2], "G": 0.8}],
+            solver={"restarts": 0},
+        )
+        code, out, err = run_cli(capsys, "maxent", "--input", path)
+        assert code == 2 and out == "" and "solver.restarts: unknown field" in err
+
+
+_PROBLEM = {
+    "weights": [1, 1, 1],
+    "params": {"alpha": 2, "beta": 1},
+    "constraints": [{"g": [0, 1, 2], "G": 0.8}],
+}
+
+
+def _problem(**fields):
+    return {**_PROBLEM, **fields}
+
+
+@pytest.mark.parametrize(
+    "problem, argv, message",
+    [
+        ([1, 2, 3], ["maxent"], "problem file must be a JSON object"),
+        (_problem(extra=1), ["maxent"], "unknown field 'extra'"),
+        ({"params": {"alpha": 2, "beta": 1}}, ["maxent"], "missing field 'weights'"),
+        (_problem(weights=[]), ["maxent"], "weights: expected a nonempty list of numbers"),
+        (_problem(weights="1,1,1"), ["maxent"], "weights: expected a nonempty list of numbers"),
+        (_problem(params=[2, 1]), ["maxent"], "params: expected an object with alpha and beta"),
+        (_problem(params={"alpha": 2, "beta": 1, "gamma": 3}), ["maxent"], "params.gamma: unknown field"),
+        (_problem(constraints={"g": [0, 1, 2], "G": 0.8}), ["maxent"], "constraints: expected a list"),
+        (
+            _problem(constraints=[{"g": [0, 1, 2]}]),
+            ["maxent"],
+            "constraints[0]: expected an object with fields g and G",
+        ),
+        (
+            _problem(constraints=[{"g": [0, 1], "G": 0.5}]),
+            ["maxent"],
+            "constraints[0].g: length 2 does not match weights length 3",
+        ),
+        (_problem(solver=[1]), ["maxent"], "solver: expected an object"),
+        *[
+            (_problem(solver={key: 1}), ["maxent"], f"solver.{key}: unknown field")
+            for key in ("damping", "fd_step", "restarts", "seed", "tolerance")
+        ],
+        (_problem(params={"alpha": 2}), ["maxent"], "params.beta: missing"),
+        (_problem(prior=[0.5, 0.5]), ["minxent"], "prior: length does not match weights"),
+        (None, ["curve", "--alpha", "2", "--beta", "0.5,x"], "not a comma-separated number list"),
+        (None, ["surface", "--n", "3", "--p", "0.5", "--alpha", ",", "--beta", "1"], "empty list"),
+    ],
+)
+def test_rejections_exit_two_naming_the_field(tmp_path, capsys, problem, argv, message):
+    if problem is not None:
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(problem))
+        argv = [*argv, "--input", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 class TestDeterminismAndRoundTrip:
@@ -362,6 +425,13 @@ class TestCheckCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) >= 5 and all(line.startswith("ok ") for line in lines)
+
+    def test_output_file_holds_every_line(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "check", "--seed", "1")
+        target = tmp_path / "check.txt"
+        code_f, out_f, _ = run_cli(capsys, "check", "--seed", "1", "--output", str(target))
+        assert code == code_f == 0 and out_f == ""
+        assert target.read_text() == out
 
 
 class TestLogging:

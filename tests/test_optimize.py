@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from lne import (
     solve_maxent,
     solve_minxent,
 )
-from lne.optimize import _log_weights
+from lne.optimize import _log_weights, _prior_terms
 
 CFG = SolverConfig()
 
@@ -84,6 +85,17 @@ class TestConstraintValidation:
     def test_solver_config_rejects_non_finite_max_iter(self, bad):
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=bad)
+
+    def test_solver_config_has_only_live_knobs(self):
+        names = tuple(f.name for f in dataclasses.fields(SolverConfig))
+        assert names == ("tol_residual", "max_iter")
+        cfg = SolverConfig()
+        assert cfg.restarts == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.restarts = 1
+        for removed in ("damping", "fd_step", "restarts", "seed"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{removed: 0})
 
     def test_solver_config_keeps_integral_max_iter(self):
         assert SolverConfig(max_iter=7.0).max_iter == 7
@@ -196,7 +208,7 @@ class TestMaxEnt:
     def test_non_convergence_carries_best_report(self):
         # two constraints (no scalar fallback) and a one-iteration budget
         cset = ConstraintSet([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 0.0]], [2.1, 0.3])
-        tiny = SolverConfig(max_iter=1, restarts=0, damping=1e-9)
+        tiny = SolverConfig(max_iter=1)
         with pytest.raises(ConvergenceError) as exc:
             solve_maxent(4, cset, (3.0, 1.0), tiny)
         assert exc.value.report.converged is False
@@ -283,7 +295,9 @@ class TestLogWeights:
 
         q, d = 0.03, 3.0
         s = -0.99 * q**d / d
-        lw, clamped = _log_weights(np.array([1.0]), np.array([[s]]), d, np.log([q]))
+        lw, clamped = _log_weights(
+            np.array([1.0]), np.array([[s]]), d, _prior_terms(np.array([q]), d)
+        )
         with mpmath.workdps(50):
             exact = float(mpmath.log(mpmath.mpf(q) ** 3 + 3 * mpmath.mpf(s)) / 3)
         assert not clamped[0]
@@ -335,8 +349,60 @@ class TestOracle:
 class TestDeterminism:
     def test_same_seed_same_solution(self):
         cset = ConstraintSet([[0.0, 0.3, 1.0]], [0.35])
-        a = solve_maxent(3, cset, (3.0, 0.5), SolverConfig(seed=7))
-        b = solve_maxent(3, cset, (3.0, 0.5), SolverConfig(seed=7))
+        a = solve_maxent(3, cset, (3.0, 0.5), SolverConfig())
+        b = solve_maxent(3, cset, (3.0, 0.5), SolverConfig())
         np.testing.assert_array_equal(a.p, b.p)
         np.testing.assert_array_equal(a.lambdas, b.lambdas)
         assert a.report == b.report
+
+
+class TestRareBranches:
+    """Solves from the seeded solve pools of `perfbench` that take a branch
+    of the Newton iteration no other test reaches, written out exactly."""
+
+    def test_singular_newton_matrix_takes_least_squares_step(self):
+        # np.linalg.solve rejects the Newton matrix on the way
+        g = [
+            [1.7396777214069008, -0.8231664480298494, -0.7226455194265616],
+            [0.8324924272040991, -0.24631322817743748, 2.140910180697006],
+        ]
+        cset = ConstraintSet(g, [-0.02454517464910498, 0.3811866064691281])
+        beta = 1.0022815499994182
+        sol = solve_maxent(3, cset, (4.58595245443948, beta), CFG)
+        assert sol.report.converged
+        assert residuals(sol, cset, beta).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "prior, g, targets, alpha, beta",
+        [
+            (
+                [0.04798246099276578, 0.35406776454049166, 0.03736423977691616, 0.5605855346898264],
+                [
+                    [1.1079822808222626, -1.2590787456099488, 0.6781880171367002, -2.1016823873394688],
+                    [0.9168677820998303, -0.7159853566905097, 1.2514063484472773, -0.3573785422973263],
+                    [-0.107399947899651, 0.32648451776778026, 0.23026122682996078, 0.2426072764713659],
+                ],
+                [-1.7860411706729227, -0.29392730021627334, 0.24876055165844083],
+                2.3388216411688196,
+                2.986393347535288,
+            ),
+            (
+                [0.4886900028498514, 0.41210621668394265, 0.09920378046620604],
+                [
+                    [-0.5173235764623775, 1.8773337113887656, 1.288792200120123],
+                    [0.08633627234465575, 0.004686815859091383, 0.009437527050817554],
+                ],
+                [0.6655039044053418, 0.045604180209725016],
+                2.5435893313120124,
+                3.553566629918754,
+            ),
+        ],
+    )
+    def test_alpha_below_beta_rejects_trial_past_the_pole(self, prior, g, targets, alpha, beta):
+        # a full Newton step drives a bracket nonpositive, where G = +inf
+        # for alpha < beta: the line search must reject it, not clamp
+        cset = ConstraintSet(g, targets)
+        sol = solve_minxent(prior, cset, (alpha, beta), CFG)
+        assert sol.report.converged
+        assert sol.report.clamped_states == ()
+        assert residuals(sol, cset, beta).max() <= 1e-10

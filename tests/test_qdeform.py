@@ -84,6 +84,28 @@ def test_classical_limit_window():
         assert np.max(np.abs(q_exp(np.log(xs), q) - xs)) <= 1e-8
 
 
+@pytest.mark.parametrize("dq", [1e-15, 1e-12, 1e-9, 5e-9, 1e-8])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_near_one_matches_mpmath(dq, sign):
+    # next to q = 1 the deformed forms keep full precision: switching to
+    # the classical log/exp there would cost about |1 - q| * |log x|
+    import mpmath
+
+    q = 1.0 + sign * dq
+    rng = np.random.default_rng(5)
+    xs = 10.0 ** rng.uniform(-30.0, 30.0, 60)
+    us = rng.uniform(-50.0, 50.0, 60)
+    got_log, got_exp = q_log(xs, q), q_exp(us, q)
+    with mpmath.workdps(60):
+        c = 1 - mpmath.mpf(q)
+        for x, got in zip(xs, got_log):
+            ref = mpmath.expm1(c * mpmath.log(x)) / c
+            assert abs(got - ref) <= 1e-15 * abs(ref), (q, x, got)
+        for u, got in zip(us, got_exp):
+            ref = mpmath.exp(mpmath.log1p(c * u) / c)
+            assert abs(got - ref) <= 2.0**-50 * (1.0 + abs(u)) * ref, (q, u, got)
+
+
 def test_array_and_scalar_round_trip():
     out = q_exp(np.array([-5.0, 0.0, 1.0]), 0.5)
     assert isinstance(out, np.ndarray) and out[0] == 0.0
