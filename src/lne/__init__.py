@@ -9,7 +9,6 @@ constraints, with an independent brute-force oracle for verification.
 """
 
 from .numkit import (
-    EPS_ORDER,
     TOL_MASS,
     EntropyParams,
     as_weights,
@@ -53,7 +52,6 @@ from .optimize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPS_ORDER",
     "TOL_MASS",
     "EntropyParams",
     "EntropyValue",

@@ -364,23 +364,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("--output", default="-", metavar="FILE|-", help="output target")
-
     p = sub.add_parser("entropy", help="evaluate one entropy family on a weight vector")
     p.add_argument("--input", required=True, help="problem file (JSON)")
     p.add_argument("--family", choices=FAMILIES, default="lne")
     p.add_argument("--alpha", type=float, help="order (overrides the file)")
     p.add_argument("--beta", type=float, help="type/order (overrides the file)")
-    common(p)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("curve", help="Bernoulli entropy curves over p in [0, 1] (CSV)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", dest="betas", type=_float_list, required=True, metavar="B1,B2,...")
     p.add_argument("--step", type=float, default=0.01)
-    common(p)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("surface", help="binomial entropy over an (alpha, beta) grid (CSV)")
@@ -388,7 +382,6 @@ def _build_parser():
     p.add_argument("--p", type=float, required=True, help="success probability")
     p.add_argument("--alpha", dest="alphas", type=_float_list, required=True, metavar="A1,A2,...")
     p.add_argument("--beta", dest="betas", type=_float_list, required=True, metavar="B1,B2,...")
-    common(p)
     p.set_defaults(func=cmd_surface)
 
     for name, help_text in (
@@ -400,14 +393,14 @@ def _build_parser():
         p.add_argument("--alpha", type=float, help="order (overrides the file)")
         p.add_argument("--beta", type=float, help="order (overrides the file)")
         p.add_argument("--tol", type=float, help="residual tolerance (overrides the file)")
-        common(p)
         p.set_defaults(func=cmd_maxent if name == "maxent" else cmd_minxent)
 
     p = sub.add_parser("check", help="run the invariant suite; nonzero exit on first failure")
     p.add_argument("--seed", type=int, help="randomness seed (default 0)")
     p.add_argument("--tol", type=float, help="solver tolerance used inside checks")
-    common(p)
     p.set_defaults(func=cmd_check)
+    for p in sub.choices.values():  # every subcommand, as its last option
+        p.add_argument("--output", default="-", metavar="FILE|-", help="output target")
     return parser
 
 

@@ -113,7 +113,7 @@ def _lnce(p, range_p, q, prm) -> float:
     both = None
     # q is nonnegative, so a minimum of 0 means a zero
     if _min(qs) == 0:
-        if prm.equal_orders or alpha > beta:
+        if alpha >= beta:
             raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
         both = qs > 0
         if not both.any():

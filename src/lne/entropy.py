@@ -31,14 +31,13 @@ import math
 import numpy as np
 
 from .numkit import (
-    EPS_ORDER,
     TOL_MASS,
+    _LOG_FLOAT_MAX,
     EntropyParams,
     _check_order,
     _exp_inplace,
     _LogSupport,
     as_weights,
-    lse,
 )
 
 __all__ = [
@@ -137,11 +136,12 @@ def kapur(w, alpha, beta) -> EntropyValue:
     """Kapur entropy of order alpha and type beta,
     (1/(alpha-beta)) log[sum w^beta / sum w^alpha].
 
-    Undefined on the diagonal; pairs within EPS_ORDER of alpha == beta
-    are rejected (the limit is the Aczel-Daroczy entropy).
+    Undefined on the diagonal alpha == beta, which is rejected (the limit
+    is the Aczel-Daroczy entropy); every other pair, however close, is
+    evaluated to full accuracy.
     """
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
-    if abs(alpha - beta) <= EPS_ORDER:
+    if alpha == beta:
         raise ValueError("kapur entropy needs alpha != beta; use aczel_daroczy for the limit")
     return EntropyValue(_kapur(_support(w), alpha, beta), "kapur", (alpha, beta))
 
@@ -156,11 +156,12 @@ def norm_entropy(w, alpha, beta) -> EntropyValue:
     for a > b.
     """
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
-    if abs(alpha - beta) <= EPS_ORDER:
+    if alpha == beta:
         raise ValueError("norm entropy needs alpha != beta; its scaled limit is aczel_daroczy")
     sup = _support(w)
     b, lb, d = sup.slope(alpha, beta)
-    r = abs(alpha * beta / (alpha - beta))
+    # alpha * beta underflows to 0 at orders below about 1e-162
+    r = abs(alpha * beta / (alpha - beta)) or abs(alpha / (alpha - beta) * beta)
     # the larger norm, at the smaller order b, times 1 - the ratio of the two
     val = math.exp(sup.m + lb / b) * r * -math.expm1((b * d - lb) / r)
     return EntropyValue(val, "norm", (alpha, beta))
@@ -204,10 +205,15 @@ def gm_subadditivity_rhs(p, q, params) -> float:
         g^{-1}[ (||p||_b^a g(E(p)) + ||q||_b^a g(E(q)))
                 / (||p||_b^a + ||q||_b^a) ],
 
-    with link g(x) = 2^{(1-a/b) x / log 2} = exp((1-a/b) x), evaluated in
-    log space.  Compare against lne(concatenate(p, q)); the comparison
-    direction is established empirically in the test suite.  The a == b
-    case degenerates to equality through a linear link and is rejected.
+    with link g(x) = 2^{(1-a/b) x / log 2} = exp((1-a/b) x).  Compare
+    against lne(concatenate(p, q)); the comparison direction is
+    established empirically in the test suite.  The a == b case
+    degenerates to equality through a linear link and is rejected.
+
+    With lr = 1 - a/b, e the softmax of a log||.||_b and E' = e . E, the
+    value is E' + log1p(e . expm1(lr (E - E'))) / lr: the mean carries
+    the first-order part of the sum, which would cancel near the diagonal.
+    Where an lr (E_i - E') overflows exp, the sum is taken in log space.
     """
     prm = _as_params(params)
     if prm.equal_orders:
@@ -217,11 +223,23 @@ def gm_subadditivity_rhs(p, q, params) -> float:
     if p.sum() + q.sum() > 1.0 + TOL_MASS:
         raise ValueError(f"combined mass {p.sum() + q.sum()} exceeds 1")
     alpha, beta = prm.alpha, prm.beta
-    lr = 1.0 - alpha / beta
+    lr = (beta - alpha) / beta  # exact numerator near the diagonal
     lw, ent = [], []
     for w, range_w in ((p, range_p), (q, range_q)):
         sup = _LogSupport(w, *range_w)
         b, lb, d = sup.slope(alpha, beta)
         ent.append(lb - b * d)
-        lw.append(alpha * (sup.m + (lb + (beta - b) * d) / beta))  # alpha * log||w||_beta
-    return (lse([lw[0] + lr * ent[0], lw[1] + lr * ent[1]]) - lse(lw)) / lr
+        # alpha * log||w||_beta, without L(beta) / beta, which overflows at tiny beta
+        lw.append(alpha * sup.m + alpha / beta * (lb + (beta - b) * d))
+    # log e, formed from the lw difference: lw itself may be far from 0
+    z = lw[1] - lw[0]
+    log_e = [-math.log1p(math.exp(-abs(z)))] * 2
+    log_e[int(z <= 0)] -= abs(z)  # the system with the smaller weight
+    e = [math.exp(v) for v in log_e]
+    mean = e[0] * ent[0] + e[1] * ent[1]
+    x = [lr * (ent[0] - mean), lr * (ent[1] - mean)]
+    if max(x) <= _LOG_FLOAT_MAX:
+        return mean + math.log1p(e[0] * math.expm1(x[0]) + e[1] * math.expm1(x[1])) / lr
+    u = [log_e[0] + lr * ent[0], log_e[1] + lr * ent[1]]
+    k = int(u[1] > u[0])  # the dominant term
+    return ent[k] + (log_e[k] + math.log1p(math.exp(u[1 - k] - u[k]))) / lr

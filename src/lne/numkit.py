@@ -50,16 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Mass tolerance for (sub-)probability membership, and the window around
-# alpha == beta (and q == 1) inside which the solver takes its
-# exponential branch, the q-logarithm its classical form, and the
-# functionals undefined on the diagonal reject the pair.
+# Mass tolerance for (sub-)probability membership.
 TOL_MASS = 1e-9
-EPS_ORDER = 1e-8
 
 __all__ = [
     "TOL_MASS",
-    "EPS_ORDER",
     "EntropyParams",
     "as_weights",
     "total_mass",
@@ -82,17 +77,13 @@ class EntropyParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be a finite positive real, got {v!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", _check_order(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _check_order(self.beta, "beta"))
 
     @property
     def equal_orders(self) -> bool:
-        """True when the two orders are indistinguishable at EPS_ORDER."""
-        return abs(self.alpha - self.beta) <= EPS_ORDER
+        """True on the diagonal alpha == beta only, not next to it."""
+        return self.alpha == self.beta
 
 
 def as_weights(w, name="w", return_range=False):
@@ -136,7 +127,7 @@ def _min(x):
 
 def _check_order(gamma, name="gamma") -> float:
     gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
+    if not math.isfinite(gamma) or gamma <= 0.0:
         raise ValueError(f"{name} must be a finite positive real, got {gamma!r}")
     return gamma
 
@@ -308,7 +299,9 @@ class _LogSupport:
         lb = self.log1p_sum(b)
         a, x, norm = self.a, self.x, 1.0 + self.s
         mean = float(a @ x) / norm
-        if h == 0.0:
+        if h < 2.0**-969:
+            # h x would be subnormal for the smallest nonzero |x| (about
+            # 2**-53), and |D - mean| <= h |lo| |mean| / 2 is below rounding
             return b, lb, mean
         if h * mean < -_LOG2:
             # only L(b + h) - L(b) <= -log 2 is kept, so results below

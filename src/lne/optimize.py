@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    EPS_ORDER,
     EntropyParams,
     _check_order,
     _escort,
@@ -92,12 +91,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Tabulated utilities g (m rows over n states), targets G (length m),
-    and the expectation index q (equal to beta at solve time)."""
+    """Tabulated utilities g (m rows over n states) and targets G (length
+    m).  The expectation index of the constraints is the solve's beta."""
 
     g: np.ndarray
     targets: np.ndarray
-    q_index: float | None = None
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -122,8 +120,6 @@ class ConstraintSet:
                 raise InfeasibleError(
                     f"target {r} = {t[r]} outside the open range ({lo}, {hi}) of g_{r}"
                 )
-        if self.q_index is not None:
-            object.__setattr__(self, "q_index", _check_order(self.q_index, "q_index"))
         g.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "g", g)
@@ -211,10 +207,6 @@ def _check_setup(n, constraints, params, cfg):
         raise ValueError(f"constraints cover {cset.n} states, problem has {n}")
     if not isinstance(params, EntropyParams):
         params = EntropyParams(*params)
-    if cset.q_index is not None and abs(cset.q_index - params.beta) > EPS_ORDER:
-        raise ValueError(
-            f"q_index {cset.q_index} must equal beta {params.beta} (the solver fixes q = beta)"
-        )
     return n, cset, params, cfg or SolverConfig()
 
 
@@ -362,7 +354,7 @@ def _solve(prior, n, constraints, params, cfg):
     """The solve both entry points share; ``prior`` is None for MaxEnt."""
     n, cset, params, cfg = _check_setup(n, constraints, params, cfg)
     # the diagonal is the d -> 0 limit of the bracket: the exponential branch
-    d = 0.0 if params.equal_orders else params.alpha - params.beta
+    d = params.alpha - params.beta
     if d < 0 and prior is not None and np.any(prior == 0):
         bad = np.nonzero(prior == 0)[0]
         raise ValueError(
@@ -443,7 +435,9 @@ def _composition_blocks(n, k, max_rows=1_500_000):
 
 def _lne_rows(pts, alpha, beta, equal):
     """Row-wise entropy by the naive power-sum formulas (the whole point
-    of the oracle is to be independent of the stable library path)."""
+    of the oracle is to be independent of the stable library path).  The
+    off-diagonal formula divides by alpha - beta and loses digits as the
+    orders approach each other: it is meant for pairs far apart."""
     pb = np.power(pts, beta).sum(axis=1)
     if equal:
         lp = np.where(pts > 0, np.log(np.where(pts > 0, pts, 1.0)), 0.0)

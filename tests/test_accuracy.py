@@ -7,6 +7,8 @@ entries, scaled by 10^[-6, 6]: uniform ones, log-uniform ones down to
 1e-300, zeros, tied maxima and entries of 1e-300.  The reference
 (`mp_reference`) works at 110 digits in the shifted log1p form, and
 errors are relative, with values below 1e-300 held to absolute error.
+`gm_subadditivity_rhs` is checked on pairs of sub-probability vectors,
+near the diagonal and far from it on both sides of its overflow switch.
 """
 
 import math
@@ -16,9 +18,9 @@ import pytest
 
 import mp_reference as R
 from lne import (
-    EPS_ORDER,
     SupportError,
     aczel_daroczy,
+    gm_subadditivity_rhs,
     kapur,
     lnce,
     lne,
@@ -101,13 +103,13 @@ def test_families_match_mpmath(seed):
         _check(log_norm(w, b), R.log_norm(w, b), TOL, "log_norm", *where)
         _check(shannon(w), R.shannon(w), TOL, "shannon", *where)
         _check(tsallis(p, a), R.tsallis(p, a), TOL, "tsallis", *where)
-        if abs(a - b) > EPS_ORDER:
+        if a != b:
             _check(kapur(w, a, b), R.kapur(w, a, b), TOL, "kapur", *where)
             _check(norm_entropy(w, a, b), R.norm_entropy(w, a, b), TOL_WIDE, "norm", *where)
         try:
             got = float(lnce(p, q, (a, b)))
         except SupportError:
-            assert a >= b - EPS_ORDER and not q[p > 0].all()
+            assert a >= b and not q[p > 0].all()
             continue
         ref = R.lnce(p, q, a, b)
         # a rounding in each input moves lnce by about 2**-52 times the
@@ -156,3 +158,62 @@ def test_log_norm_near_zero_to_ulps_of_m(seed):
             ref = R.log_norm(w, g)
             err = abs(float(ref - got))
             assert err <= 4.0 * np.spacing(abs(m)), (err, got, float(ref), seed, case, n, g)
+
+
+@pytest.mark.parametrize("b", [1e-310, 2.0**-961, 1e-200])
+def test_near_diagonal_at_tiny_orders(b):
+    # alpha - beta is subnormal or alpha * beta underflows: h x keeps few
+    # digits, and r = alpha beta / (alpha - beta) must not round to 0
+    w = np.array([0.45, 0.75, 0.25, 1e-300, 0.0])
+    p, q = w[:3] / 4.0, np.array([0.2, 0.1, 0.0, 0.2])
+    for a in (b * (1.0 + 1e-11), b * (1.0 - 1e-9)):
+        _check(kapur(w, a, b), R.kapur(w, a, b), TOL, "kapur", a, b)
+        assert norm_entropy([0.0, 0.5], a, b) == 0.0
+        if b < 1e-300:  # the norms overflow, and the value with them
+            assert norm_entropy(w, a, b) == math.inf
+        _gm_case(p, q, a, b)
+
+
+def _gm_case(p, q, a, b):
+    """(bound, past): the error bound of `gm_subadditivity_rhs` at (p, q,
+    a, b) and whether the pair lies past its overflow switch."""
+    ref = R.gm_subadditivity_rhs(p, q, a, b)
+    ents = float(R.lne(p, a, b)), float(R.lne(q, a, b))
+    got = gm_subadditivity_rhs(p, q, (a, b))
+    # rounding in the two entropies moves the value by 2**-50 times their size
+    bound = TOL_WIDE * max(abs(float(ref)), float(R.FLOOR)) + 2.0**-50 * max(ents)
+    assert abs(got - float(ref)) <= bound, (got, float(ref), p.tolist(), q.tolist(), a, b)
+    return abs(1.0 - a / b) * abs(ents[0] - ents[1]) > math.log(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_gm_subadditivity_rhs_matches_mpmath(seed):
+    rng = np.random.default_rng([53, seed])
+    past = []
+    for case in range(30):
+        w, v = _weights(rng), _weights(rng)
+        if case % 5 == 0:  # a single-entry system, whose entropy is 0
+            v = v[:1]
+        mass = rng.uniform(0.01, 1.0)
+        p = w / w.sum() * mass * rng.uniform(0.0, 1.0)
+        q = v / v.sum() * (1.0 - mass)
+        b = _log_uniform(rng, 0.05, 200.0)
+        if case % 2:
+            a = b * (1.0 + rng.choice([-1.0, 1.0]) * _log_uniform(rng, 1e-14, 1e-6))
+        else:
+            a = b * _log_uniform(rng, 5.0, 1e4)
+        past.append(_gm_case(p, q, a, b))
+    assert any(past) and not all(past)
+
+
+def test_gm_subadditivity_rhs_edge_systems():
+    # both systems single-entry (both entropies 0), zeros, and a system
+    # with a weight so small that its softmax share underflows
+    for p, q in (
+        ([0.3], [0.6]),
+        ([0.2, 0.0, 0.1], [0.0, 0.4]),
+        ([1e-300, 1e-300], [0.5, 0.25, 0.0]),
+    ):
+        p, q = np.array(p), np.array(q)
+        for a, b in ((2.0, 2.0 * (1 + 1e-12)), (0.7 * (1 - 1e-9), 0.7), (3e3, 0.5), (0.5, 40.0)):
+            _gm_case(p, q, a, b)

@@ -433,6 +433,18 @@ class TestCheckCommand:
         assert code == code_f == 0 and out_f == ""
         assert target.read_text() == out
 
+    def test_unreachable_tol_fails_the_solver_check(self):
+        # no solve meets a residual of 1e-300: a FAIL line and exit 1, not a traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "lne.cli", "check", "--tol", "1e-300"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        last = proc.stdout.strip().splitlines()[-1]
+        assert last.startswith("FAIL solvers:") and "residual" in last and "alpha=" in last
+        assert "Traceback" not in proc.stderr
+
 
 class TestLogging:
     def test_debug_env_writes_to_stderr_only(self, tmp_path, capsys, monkeypatch):

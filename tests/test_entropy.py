@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mp_reference as R
 from lne import (
     EntropyParams,
     aczel_daroczy,
@@ -133,8 +134,9 @@ class TestKapur:
     def test_rejects_diagonal(self):
         with pytest.raises(ValueError):
             kapur([0.5, 0.5], 2.0, 2.0)
-        with pytest.raises(ValueError):
-            kapur([0.5, 0.5], 2.0, 2.0 + 1e-9)
+        # only the exact diagonal: a pair 1e-9 off it has a value
+        w = [0.7, 0.2, 0.1]
+        assert R.rel_err(kapur(w, 2.0, 2.0 + 1e-9), R.kapur(w, 2.0, 2.0 + 1e-9)) <= 1e-13
 
 
 class TestNormEntropy:

@@ -73,7 +73,7 @@ class TestEntropyParams:
 
     def test_equal_orders_window(self):
         assert EntropyParams(2.0, 2.0).equal_orders
-        assert EntropyParams(2.0, 2.0 + 5e-9).equal_orders
+        assert not EntropyParams(2.0, 2.0 + 5e-9).equal_orders
         assert not EntropyParams(2.0, 2.0 + 1e-7).equal_orders
 
 

@@ -64,10 +64,9 @@ class TestConstraintValidation:
             ConstraintSet([[0.0, 1.0, 2.0]], [0.0])  # boundary is not interior
 
     def test_q_index_must_match_beta(self):
-        cset = ConstraintSet([[0.0, 1.0]], [0.4], q_index=1.0)
-        solve_maxent(2, cset, (2.0, 1.0), CFG)
-        with pytest.raises(ValueError, match="q_index"):
-            solve_maxent(2, cset, (2.0, 2.0), CFG)
+        # the expectation index is always the solve's beta: no field to set
+        with pytest.raises(TypeError, match="q_index"):
+            ConstraintSet([[0.0, 1.0]], [0.4], q_index=1.0)
 
     def test_shape_mismatches(self):
         with pytest.raises(ValueError):
@@ -286,6 +285,40 @@ class TestMinXEnt:
         # alpha > beta tolerates prior zeros
         sol = solve_minxent([0.5, 0.0, 0.5], cset, (2.0, 1.0), CFG)
         assert residuals(sol, cset, 1.0).max() <= 1e-10
+
+
+class TestNearDiagonal:
+    """Every pair off the diagonal, however close, takes the power-law
+    branch, and p is the bracket form at the returned multipliers."""
+
+    @pytest.mark.parametrize("d", [1e-12, -1e-12, 1e-9, -1e-9, 5e-9, -5e-9])
+    @pytest.mark.parametrize("minxent", [False, True])
+    def test_power_law_bracket_at_lambdas(self, d, minxent):
+        import mpmath
+
+        beta = 1.5
+        g = np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5, 2.0, -2.0]])
+        t = np.array([0.05, 0.3, 0.2, 0.25, 0.2]) ** beta
+        cset = ConstraintSet(g, g @ t / t.sum())
+        prior = np.array([0.1, 0.3, 0.2, 0.25, 0.15]) if minxent else np.ones(5)
+        params = (beta + d, beta)
+        if minxent:
+            sol = solve_minxent(prior, cset, params, CFG)
+        else:
+            sol = solve_maxent(5, cset, params, CFG)
+        assert sol.branch == "power_law"
+        assert residuals(sol, cset, beta).max() <= 1e-10
+        with mpmath.workdps(60):
+            dm = mpmath.mpf(beta + d) - beta
+            s = [
+                sum(mpmath.mpf(lam) * (mpmath.mpf(gr[i]) - mpmath.mpf(gt))
+                    for lam, gr, gt in zip(sol.lambdas, g, cset.targets))
+                for i in range(5)
+            ]
+            w = [(mpmath.mpf(q) ** dm + dm * si) ** (1 / dm) for q, si in zip(prior, s)]
+            ref = [wi / mpmath.fsum(w) for wi in w]
+            err = max(abs((mpmath.mpf(pi) - ri) / ri) for pi, ri in zip(sol.p, ref))
+        assert err <= 1e-12, err
 
 
 class TestLogWeights:

@@ -28,7 +28,10 @@ orders from 1e-310 to 1e4, diagonal and near-diagonal order pairs,
 invalid vectors and orders, and a few vectors long enough (up to 1e5)
 that every SIMD vector of an exp pass mixes normal, subnormal-result
 and zero-result lanes.  The CLI runs in process, on problem files
-written to a temporary directory.
+written to a temporary directory.  Last come 40 solves with
+|alpha - beta| / beta log-uniform in [1e-12, 1e-8], drawn from a
+generator of their own, so that every line before them keeps its
+inputs whatever that block holds.
 """
 
 from __future__ import annotations
@@ -74,12 +77,22 @@ def _digest(obj) -> str:
 
 def _input_hash(args) -> str:
     h = hashlib.sha256()
-    for a in args:
+
+    def feed(a):
         if isinstance(a, np.ndarray):
             h.update(a.tobytes())
             h.update(str(a.shape).encode())
+        elif hasattr(a, "__dataclass_fields__"):
+            # by the fields that are set, so that checkouts whose classes
+            # differ only by an unset optional field hash alike
+            for k in a.__dataclass_fields__:
+                if getattr(a, k) is not None:
+                    feed(getattr(a, k))
         else:
             h.update(repr(a).encode())
+
+    for a in args:
+        feed(a)
     return h.hexdigest()[:12]
 
 
@@ -286,19 +299,7 @@ def calls(seed, count):
             m = min(int(rng.integers(1, 4)), n - 1)
             a = float(rng.uniform(0.2, 5.0))
             b = a if rng.random() < 0.15 else float(rng.uniform(0.2, 5.0))
-            g = rng.standard_normal((m, n))
-            t = rng.uniform(0.05, 1.0, n)
-            t /= t.sum()
-            tb = t**b
-            G = g @ tb / tb.sum()
-            cset = optimize.ConstraintSet(g, G)
-            if rng.random() < 0.5:
-                yield "solve_maxent", optimize.solve_maxent, (n, cset, (a, b))
-            else:
-                prior = rng.uniform(0.0, 1.0, n)
-                if a > b and rng.random() < 0.2:
-                    prior[0] = 0.0
-                yield "solve_minxent", optimize.solve_minxent, (prior / prior.sum(), cset, (a, b))
+            yield _solve_call(rng, n, m, a, b)
 
     long = _long_vector(rng, 100_000)
     for gamma in (1e-310, 0.3, 2.0, 6.0, 100.0):
@@ -313,6 +314,34 @@ def calls(seed, count):
         yield "lnce", lambda p, q, a, b: crossent.lnce(p, q / q.sum(), (a, b)), (p, q, gamma, 1.3)
 
     yield from _cli_calls(rng)
+
+    # near-diagonal solves, from a generator of their own so that every
+    # line above keeps its inputs
+    near = np.random.default_rng([seed, 1])
+    for _ in range(40):
+        n = int(near.integers(2, 12))
+        m = min(int(near.integers(1, 4)), n - 1)
+        b = float(near.uniform(0.2, 5.0))
+        a = b * (1.0 + float(10.0 ** near.uniform(-12.0, -8.0)) * near.choice([-1, 1]))
+        yield _solve_call(near, n, m, a, b)
+
+
+def _solve_call(rng, n, m, a, b):
+    """A solve_maxent or solve_minxent call on m feasible constraints over n states."""
+    from lne import optimize
+
+    g = rng.standard_normal((m, n))
+    t = rng.uniform(0.05, 1.0, n)
+    t /= t.sum()
+    tb = t**b
+    G = g @ tb / tb.sum()
+    cset = optimize.ConstraintSet(g, G)
+    if rng.random() < 0.5:
+        return "solve_maxent", optimize.solve_maxent, (n, cset, (a, b))
+    prior = rng.uniform(0.0, 1.0, n)
+    if a > b and rng.random() < 0.2:
+        prior[0] = 0.0
+    return "solve_minxent", optimize.solve_minxent, (prior / prior.sum(), cset, (a, b))
 
 
 def _cli_calls(rng):
