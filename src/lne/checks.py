@@ -2,6 +2,9 @@
 
 Each check draws its own seeded randomness, returns (name, ok, detail),
 and runs in well under a second; the CLI stops at the first failure.
+This registry is the one statement of the paper's invariants: the test
+suite runs every entry at seeds 0-9 (``test_acceptance.py``), so each
+seed's draw is a tenth of what the tests check.
 """
 
 from __future__ import annotations
@@ -18,10 +21,26 @@ from .optimize import ConstraintSet, ConvergenceError, SolverConfig, solve_maxen
 
 __all__ = ["run_checks", "CHECKS"]
 
+# vectors with one positive state, in several lengths, places and masses
+_DEGENERATE = (
+    [0.0, 0.7, 0.0],
+    [0.0, 0.3, 0.0, 0.0],
+    [0.0, 0.4, 0.0],
+    [1.0, 0.0],
+    [0.0, 1.0],
+    [0.2],
+    [0.7],
+    [1.0],
+)
 
-def _random_weights(rng, n, positive=True):
-    w = rng.uniform(0.05 if positive else 0.0, 1.0, size=n)
+
+def _random_weights(rng, n):
+    w = rng.uniform(0.02, 1.0, size=n)
     return w / w.sum() * rng.uniform(0.2, 1.0)
+
+
+def _random_params(rng):
+    return EntropyParams(*rng.uniform(0.1, 5.0, size=2))
 
 
 def _params_grid():
@@ -33,9 +52,9 @@ def check_scale_invariance(seed, tol):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
-        w = _random_weights(rng, rng.integers(2, 8))
-        prm = EntropyParams(*rng.uniform(0.1, 5.0, size=2))
-        c = 10.0 ** rng.uniform(-6, 2)
+        w = _random_weights(rng, rng.integers(2, 9))
+        prm = _random_params(rng)
+        c = 10.0 ** rng.uniform(-6, 3)
         e0, e1 = lne(w, prm), lne(c * w, prm)
         worst = max(worst, abs(e1 - e0) / (1.0 + abs(e0)))
     return worst <= 1e-9, f"max relative drift {worst:.3e}"
@@ -45,12 +64,10 @@ def check_escort_identity(seed, tol):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
-        w = _random_weights(rng, rng.integers(2, 8))
+        w = _random_weights(rng, rng.integers(2, 9))
         beta = rng.uniform(0.2, 3.0)
-        ratio = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        ratio = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
         alpha = beta * (1.0 + ratio) if rng.random() < 0.5 else beta * ratio
-        if abs(alpha / beta - 1.0) < 1e-5:
-            alpha = beta
         prm = EntropyParams(alpha, beta)
         direct = lne(w, prm)
         via_escort = renyi(escort(w, beta), alpha / beta)
@@ -68,13 +85,17 @@ def check_extremes(seed, tol):
         if lne([0.0, 0.7, 0.0], prm) != 0.0:
             return False, f"degenerate vector not exactly 0 at {prm}"
     rng = np.random.default_rng(seed)
+    for w in _DEGENERATE:
+        for prm in [_random_params(rng) for _ in range(4)]:
+            if lne(w, prm) != 0.0:
+                return False, f"degenerate vector not exactly 0 at {prm}"
     for _ in range(100):
         n = int(rng.integers(2, 10))
         w = rng.uniform(0.01, 1.0, size=n)
         w /= w.sum()
-        if np.allclose(w, 1.0 / n):
+        if np.max(np.abs(w - 1.0 / n)) < 1e-6:
             continue
-        v = lne(w, EntropyParams(*rng.uniform(0.1, 4.0, size=2)))
+        v = lne(w, _random_params(rng))
         if not (0.0 < v < math.log(n)):
             return False, f"value {v} outside (0, log {n})"
     return True, "uniform/degenerate/interior extremes all in range"
@@ -83,55 +104,72 @@ def check_extremes(seed, tol):
 def check_composition(seed, tol):
     rng = np.random.default_rng(seed)
     for _ in range(50):
-        p = _random_weights(rng, rng.integers(2, 6))
-        q = _random_weights(rng, rng.integers(2, 6))
-        prm = EntropyParams(*rng.uniform(0.1, 4.0, size=2))
-        lhs = lne(product_compose(p, q), prm)
-        rhs = lne(p, prm) + lne(q, prm)
-        if abs(lhs - rhs) > 1e-9:
-            return False, f"extensivity gap {abs(lhs - rhs):.3e} at {prm}"
-        grown = lne(np.append(p, 0.0), prm)
-        if abs(grown - lne(p, prm)) > 1e-12:
+        p = _random_weights(rng, rng.integers(2, 7))
+        q = _random_weights(rng, rng.integers(2, 7))
+        prm = _random_params(rng)
+        base = lne(p, prm)
+        gap = abs(lne(product_compose(p, q), prm) - base - lne(q, prm))
+        if gap > 1e-9:
+            return False, f"extensivity gap {gap:.3e} at {prm}"
+        if abs(lne(np.append(p, 0.0), prm) - base) > 1e-12:
             return False, "appending a zero state moved the entropy"
+        if abs(lne(rng.permutation(p), prm) - base) > 1e-12:
+            return False, "permuting the states moved the entropy"
     return True, "extensivity and expandability hold"
 
 
 def check_qdeform(seed, tol):
-    xs = np.linspace(0.05, 10.0, 40)
-    for q in np.linspace(-2.0, 3.0, 21):
+    xs = np.concatenate([np.linspace(0.05, 10.0, k) for k in (40, 80, 100)])
+    for q in sorted({*np.linspace(-2.0, 3.0, 21), *np.linspace(-2.0, 3.0, 26)}):
         back = q_exp(q_log(xs, q), q)
         if np.max(np.abs(back - xs) / xs) > 1e-10:
             return False, f"inverse identity fails at q={q}"
-        x, y = 2.5, 0.8
-        # the product identity lives on the positive-bracket domain
-        if min(1 + (1 - q) * x, 1 + (1 - q) * y) <= 1e-6:
-            continue
-        lhs = q_exp(x, q) * q_exp(y, q)
-        rhs = q_exp(x + y + (1 - q) * x * y, q)
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
+        if _q_exp_product_gap(2.5, 0.8, q) > 1e-10:
             return False, f"product identity fails at q={q}"
+    rng = np.random.default_rng(seed)
+    checked = 0
+    while checked < 30:
+        q = rng.uniform(-2.0, 3.0)
+        x, y = rng.uniform(0.1, 5.0, size=2)
+        lx, ly, lxy = q_log(np.array([x, y, x * y]), q)
+        if abs(lxy - (lx + ly + (1 - q) * lx * ly)) > 1e-10 * max(1.0, abs(lxy)):
+            return False, f"q_log product identity fails at q={q}"
+        gap = _q_exp_product_gap(*rng.uniform(-0.5, 2.0, size=2), q)
+        if gap > 1e-10:
+            return False, f"product identity fails at q={q}"
+        checked += gap >= 0.0
     return True, "inverse and product identities hold"
+
+
+def _q_exp_product_gap(x, y, q):
+    """|e_q(x) e_q(y) - e_q(x + y + (1 - q) x y)| / max(1, |rhs|), and -1
+    off the positive-bracket domain, where the identity does not hold."""
+    if min(1 + (1 - q) * x, 1 + (1 - q) * y) <= 1e-8:
+        return -1.0
+    ex, ey, rhs = q_exp(np.array([x, y, x + y + (1 - q) * x * y]), q)
+    return abs(ex * ey - rhs) / max(1.0, abs(rhs))
 
 
 def check_cross_entropy(seed, tol):
     rng = np.random.default_rng(seed)
     for _ in range(50):
-        n = int(rng.integers(2, 7))
+        n = int(rng.integers(2, 8))
         p = rng.uniform(0.05, 1.0, size=n)
         p /= p.sum()
         q = rng.uniform(0.05, 1.0, size=n)
         q /= q.sum()
-        alpha = rng.uniform(0.2, 4.0)
-        if abs(alpha - 1.0) < 1e-3:
+        alpha = rng.uniform(0.1, 4.0)
+        if abs(alpha - 1.0) < 1e-6:
             alpha = 2.0
         ce = lnce(p, q, EntropyParams(alpha, 1.0))
         div = math.log(float(np.sum(p**alpha * q ** (1.0 - alpha)))) / (alpha - 1.0)
         if abs(ce - div) > 1e-10:
             return False, f"beta=1 reduction gap {abs(ce - div):.3e}"
-        prm = EntropyParams(alpha, rng.uniform(0.2, 3.0))
-        u = np.full(n, 1.0 / n)
-        lhs = lnce(p, u, prm)
-        rhs = prm.beta * math.log(n) - lne(p, prm)
+        prm = EntropyParams(alpha, rng.uniform(0.1, 4.0))
+        # against the uniform prior of the same mass W: beta log(n / W) - E(p)
+        mass = 1.0 if rng.random() < 0.5 else rng.uniform(0.2, 0.9)
+        lhs = lnce(mass * p, np.full(n, mass / n), prm)
+        rhs = prm.beta * math.log(n / mass) - lne(p, prm)
         if abs(lhs - rhs) > 1e-9:
             return False, f"uniform-prior identity gap {abs(lhs - rhs):.3e}"
     return True, "beta=1 reduction and uniform-prior identity hold"

@@ -29,12 +29,12 @@ from .numkit import (
     TOL_MASS,
     _LOG_FLOAT_MAX,
     _exp_inplace,
+    _as_params,
     _LogSupport,
     _lse_inplace,
     _min,
     as_weights,
 )
-from .entropy import _as_params
 
 __all__ = ["SupportError", "CrossEntropyValue", "lnce", "relative_entropy_bridge"]
 
@@ -87,15 +87,15 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     so this is safe when probing that invariance).
     """
     prm = _as_params(params)
-    p, *range_p = as_weights(p, "p", return_range=True)
+    sup = _LogSupport(p, "p")
     q = as_weights(q, "q")
-    mass_q = _check_pair(p, q, require_equal_mass)
-    return CrossEntropyValue(_lnce(p, range_p, q, prm), prm, mass_q)
+    mass_q = _check_pair(sup.w, q, require_equal_mass)
+    return CrossEntropyValue(_lnce(sup, q, prm), prm, mass_q)
 
 
-def _lnce(p, range_p, q, prm) -> float:
-    """`lnce` on validated weight vectors that passed `_check_pair`;
-    range_p is (min p, max p).
+def _lnce(sup, q, prm) -> float:
+    """`lnce` over the log-support of p and a validated q that passed
+    `_check_pair`.  Consumes the support.
 
     With y = log p - log q, the beta-escort e of p and d = alpha - beta,
     CE = beta * S - psi(beta), where S = log(e . exp(d y)) / d is the
@@ -107,8 +107,7 @@ def _lnce(p, range_p, q, prm) -> float:
     Past that range the sum rests on entries far out in y, whose escort
     weights may underflow, and it is taken in log space."""
     alpha, beta = prm.alpha, prm.beta
-    sup = _LogSupport(p, *range_p)
-    x = sup.x
+    p, x = sup.w, sup.x
     qs = q if x.size == p.size else q[p > 0]  # q on the support of p
     both = None
     # q is nonnegative, so a minimum of 0 means a zero
@@ -154,10 +153,8 @@ def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
     """Relative (beta, alpha)-entropy recovered from the cross-entropy via
     CE_{a,b}(P, Q) = a RE_{b,a}(P, Q) + b log||Q||_b."""
     prm = _as_params(params)
-    p, *range_p = as_weights(p, "p", return_range=True)
-    q, *range_q = as_weights(q, "q", return_range=True)
-    _check_pair(p, q, require_equal_mass)
-    ce = _lnce(p, range_p, q, prm) + 0.0  # as CrossEntropyValue rounds -0.0
-    sup = _LogSupport(q, *range_q)
+    sup_p, sup_q = _LogSupport(p, "p"), _LogSupport(q, "q")
+    _check_pair(sup_p.w, sup_q.w, require_equal_mass)
+    ce = _lnce(sup_p, sup_q.w, prm) + 0.0  # as CrossEntropyValue rounds -0.0
     # b log||Q||_b = psi(b), formed without log||Q||_b, which overflows at tiny b
-    return (ce - prm.beta * sup.m - sup.log1p_sum(prm.beta, in_place=True)) / prm.alpha
+    return (ce - prm.beta * sup_q.m - sup_q.log1p_sum(prm.beta, in_place=True)) / prm.alpha

@@ -33,7 +33,7 @@ import numpy as np
 from .numkit import (
     TOL_MASS,
     _LOG_FLOAT_MAX,
-    EntropyParams,
+    _as_params,
     _check_order,
     _exp_inplace,
     _LogSupport,
@@ -69,18 +69,6 @@ class EntropyValue(float):
         return f"EntropyValue({float(self)!r}, family={self.family!r}, params={self.params!r})"
 
 
-def _as_params(params) -> EntropyParams:
-    if isinstance(params, EntropyParams):
-        return params
-    alpha, beta = params
-    return EntropyParams(alpha, beta)
-
-
-def _support(w):
-    """The log-support of w, validated."""
-    return _LogSupport(*as_weights(w, return_range=True))
-
-
 def _kapur(sup, alpha, beta) -> float:
     """(psi(beta) - psi(alpha)) / (alpha - beta) = -m - D over the orders
     {alpha, beta}, and at alpha == beta its limit, the beta-escort mean of
@@ -95,7 +83,7 @@ def shannon(w) -> EntropyValue:
     not the entropy of the mass-normalized vector: on sub-probabilities
     it differs from it by -log W and is not scale invariant.
     """
-    return EntropyValue(_kapur(_support(w), 1.0, 1.0), "shannon")
+    return EntropyValue(_kapur(_LogSupport(w), 1.0, 1.0), "shannon")
 
 
 def renyi(w, alpha) -> EntropyValue:
@@ -104,7 +92,7 @@ def renyi(w, alpha) -> EntropyValue:
     Order 1 is the Shannon limit.
     """
     alpha = _check_order(alpha, "alpha")
-    return EntropyValue(_kapur(_support(w), alpha, 1.0), "renyi", (alpha,))
+    return EntropyValue(_kapur(_LogSupport(w), alpha, 1.0), "renyi", (alpha,))
 
 
 def tsallis(w, q) -> EntropyValue:
@@ -118,16 +106,17 @@ def tsallis(w, q) -> EntropyValue:
     q = float(q)
     if not np.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
-    w, lo, hi = as_weights(w, return_range=True)
+    # the shifted support needs a positive order; below it sum p^q as it is
+    sup = _LogSupport(w) if q > 0 else None
+    w = as_weights(w) if sup is None else sup.w
     if abs(w.sum() - 1.0) > TOL_MASS:
         raise ValueError(f"tsallis entropy requires a probability vector, mass={w.sum()}")
-    if q <= 0:
-        # the shifted support needs a positive order; sum p^q as it is
-        a = np.log(w if lo > 0 else w[w > 0])
+    if sup is None:
+        a = np.log(w[w > 0])
         a *= q
         s = float(_exp_inplace(a).sum())
         return EntropyValue((1.0 - s) / (q - 1.0), "tsallis", (q,))
-    c = _kapur(_LogSupport(w, lo, hi), q, 1.0)  # (psi(1) - psi(q)) / (q - 1)
+    c = _kapur(sup, q, 1.0)  # (psi(1) - psi(q)) / (q - 1)
     val = c if q == 1.0 else -math.expm1((1.0 - q) * c) / (q - 1.0)
     return EntropyValue(val, "tsallis", (q,))
 
@@ -143,7 +132,7 @@ def kapur(w, alpha, beta) -> EntropyValue:
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if alpha == beta:
         raise ValueError("kapur entropy needs alpha != beta; use aczel_daroczy for the limit")
-    return EntropyValue(_kapur(_support(w), alpha, beta), "kapur", (alpha, beta))
+    return EntropyValue(_kapur(_LogSupport(w), alpha, beta), "kapur", (alpha, beta))
 
 
 def norm_entropy(w, alpha, beta) -> EntropyValue:
@@ -158,12 +147,17 @@ def norm_entropy(w, alpha, beta) -> EntropyValue:
     alpha, beta = _check_order(alpha, "alpha"), _check_order(beta, "beta")
     if alpha == beta:
         raise ValueError("norm entropy needs alpha != beta; its scaled limit is aczel_daroczy")
-    sup = _support(w)
+    sup = _LogSupport(w)
     b, lb, d = sup.slope(alpha, beta)
     # alpha * beta underflows to 0 at orders below about 1e-162
     r = abs(alpha * beta / (alpha - beta)) or abs(alpha / (alpha - beta) * beta)
     # the larger norm, at the smaller order b, times 1 - the ratio of the two
-    val = math.exp(sup.m + lb / b) * r * -math.expm1((b * d - lb) / r)
+    log_norm_b, f = sup.m + lb / b, -math.expm1((b * d - lb) / r)
+    val = math.exp(log_norm_b) * r * f if log_norm_b <= _LOG_FLOAT_MAX else math.inf
+    if val == math.inf and r * f > 0:
+        # the norm, or its product with r, overflows where the value need not
+        log_val = sup.m + (lb / b + math.log(r * f))
+        val = math.exp(log_val) if log_val <= _LOG_FLOAT_MAX else math.inf
     return EntropyValue(val, "norm", (alpha, beta))
 
 
@@ -174,7 +168,7 @@ def aczel_daroczy(w, beta) -> EntropyValue:
     entropies; beta = 1 gives Shannon on probability vectors.
     """
     beta = _check_order(beta, "beta")
-    return EntropyValue(_kapur(_support(w), beta, beta), "aczel_daroczy", (beta,))
+    return EntropyValue(_kapur(_LogSupport(w), beta, beta), "aczel_daroczy", (beta,))
 
 
 def lne(w, params) -> EntropyValue:
@@ -185,7 +179,7 @@ def lne(w, params) -> EntropyValue:
     diagonal.
     """
     p = _as_params(params)
-    b, lb, d = _support(w).slope(p.alpha, p.beta)
+    b, lb, d = _LogSupport(w).slope(p.alpha, p.beta)
     return EntropyValue(lb - b * d, "lne", (p.alpha, p.beta))
 
 
@@ -194,7 +188,7 @@ def lne_min_entropy_limit(w, beta) -> EntropyValue:
     beta * [-log(max w) + log||w||_beta] = L(beta): a scale-invariant
     min-entropy."""
     beta = _check_order(beta, "beta")
-    return EntropyValue(_support(w).log1p_sum(beta, in_place=True), "min_entropy_scaled", (beta,))
+    return EntropyValue(_LogSupport(w).log1p_sum(beta, in_place=True), "min_entropy_scaled", (beta,))
 
 
 def gm_subadditivity_rhs(p, q, params) -> float:
@@ -218,15 +212,14 @@ def gm_subadditivity_rhs(p, q, params) -> float:
     prm = _as_params(params)
     if prm.equal_orders:
         raise ValueError("generalized-mean bound needs alpha != beta")
-    p, *range_p = as_weights(p, "p", return_range=True)
-    q, *range_q = as_weights(q, "q", return_range=True)
-    if p.sum() + q.sum() > 1.0 + TOL_MASS:
-        raise ValueError(f"combined mass {p.sum() + q.sum()} exceeds 1")
+    sups = _LogSupport(p, "p"), _LogSupport(q, "q")
+    mass = sups[0].w.sum() + sups[1].w.sum()
+    if mass > 1.0 + TOL_MASS:
+        raise ValueError(f"combined mass {mass} exceeds 1")
     alpha, beta = prm.alpha, prm.beta
     lr = (beta - alpha) / beta  # exact numerator near the diagonal
     lw, ent = [], []
-    for w, range_w in ((p, range_p), (q, range_q)):
-        sup = _LogSupport(w, *range_w)
+    for sup in sups:
         b, lb, d = sup.slope(alpha, beta)
         ent.append(lb - b * d)
         # alpha * log||w||_beta, without L(beta) / beta, which overflows at tiny beta

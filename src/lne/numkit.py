@@ -6,12 +6,13 @@ the special cases with total mass 1 and <= 1; most routines here accept
 the general case because the quantities they feed are scale invariant.
 
 Every power sum runs over the positive support, so zero entries are
-dropped everywhere (the 0*log(0) := 0 convention).  Each public function
-validates its input once, which also finds its smallest and largest
-entries, and takes the log of its support once, into a `_LogSupport`:
-x = log w - m with m = max log w, so x <= 0 with x = 0 at the maximum
-(the log is taken of w scaled by a power of two, so that x is exact to
-a few of its own ulps at any scale of w).  Then psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma), where
+dropped everywhere (the 0*log(0) := 0 convention).  A `_LogSupport`
+validates its vector, which also finds its smallest and largest entries,
+and takes the log of its support once: x = log w - m with m = max log w,
+so x <= 0 with x = 0 at the maximum (the log is taken of w scaled by a
+power of two, so that x is exact to a few of its own ulps at any scale
+of w).  Then psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma),
+where
 
     L(gamma) = log1p(sum_{j != i*} exp(gamma * x_j)) >= 0
 
@@ -86,13 +87,16 @@ class EntropyParams:
         return self.alpha == self.beta
 
 
-def as_weights(w, name="w", return_range=False):
-    """Validate and return ``w`` as a 1-D float64 weight vector.
+def _as_params(params) -> EntropyParams:
+    """``params`` as EntropyParams: an instance as it is, or an (alpha, beta) pair."""
+    if isinstance(params, EntropyParams):
+        return params
+    alpha, beta = params
+    return EntropyParams(alpha, beta)
 
-    Rejects empty vectors, non-finite or negative entries, and the
-    all-zero vector.  With ``return_range``, returns (w, min w, max w):
-    the check finds both anyway.
-    """
+
+def _validate(w, name):
+    """(w, min w, max w) of ``w`` checked as a weight vector; see `as_weights`."""
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
@@ -104,7 +108,16 @@ def as_weights(w, name="w", return_range=False):
         raise ValueError(f"{name} contains negative entries")
     if not hi > 0:
         raise ValueError(f"{name} must have at least one positive entry")
-    return (arr, lo, hi) if return_range else arr
+    return arr, lo, hi
+
+
+def as_weights(w, name="w"):
+    """Validate and return ``w`` as a 1-D float64 weight vector.
+
+    Rejects empty vectors, non-finite or negative entries, and the
+    all-zero vector.
+    """
+    return _validate(w, name)[0]
 
 
 def total_mass(w) -> float:
@@ -216,29 +229,31 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class _LogSupport:
-    """The positive support of a validated weight vector with smallest
-    and largest entries ``lo`` and ``hi``, shifted by its largest log
+    """The positive support of the weight vector ``w``, validated as by
+    `as_weights` under the name ``name``, shifted by its largest log
     weight, and the exp array of its last power sum.
 
-    ``x`` = log w - m, with m = log(hi) = max log w taken at index ``i``,
-    so x <= 0 and x[i] = 0 at every order.  The log is taken of w * 2**k,
-    with k bringing hi into [1, 2), and shifted by its own maximum: the
-    scaling is exact, so x is accurate to a few ulps of x itself rather
-    than of log w, which on weights near 1e-100 at order 100 is the
-    difference between 1e-12 and 1e-14.  Scaling down is skipped where
-    it would round an entry.  ``lo`` is log(lo) - m or, with zeros in w,
-    min(x): gamma * lo tells an exp pass whether it has underflowing
-    lanes.  `log1p_sum` leaves its exp array ``a`` and that array's sum
-    ``s``, which `escort` and `slope` use instead of a second exp pass.
+    ``x`` = log w - m, with m = log(max w) taken at index ``i``, so
+    x <= 0 and x[i] = 0 at every order.  The log is taken of w * 2**k,
+    with k bringing max w into [1, 2), and shifted by its own maximum:
+    the scaling is exact, so x is accurate to a few ulps of x itself
+    rather than of log w, which on weights near 1e-100 at order 100 is
+    the difference between 1e-12 and 1e-14.  Scaling down is skipped
+    where it would round an entry.  ``lo`` is log(min w) - m or, with
+    zeros in w, min(x): gamma * lo tells an exp pass whether it has
+    underflowing lanes.  `log1p_sum` leaves its exp array ``a`` and that
+    array's sum ``s``, which `escort` and `slope` use instead of a second
+    exp pass.  ``w`` is the validated float64 vector.
     """
 
-    __slots__ = ("x", "m", "i", "lo", "a", "s", "_w", "_lo", "_k", "_top")
+    __slots__ = ("w", "x", "m", "i", "lo", "a", "s", "_lo", "_k", "_top")
 
-    def __init__(self, w, lo, hi):
+    def __init__(self, w, name="w"):
+        w, lo, hi = _validate(w, name)
         k = 1 - math.frexp(hi)[1]  # hi * 2**k in [1, 2)
         if k < 0 and not math.ldexp(lo, k) >= _NORMAL_MIN:
             k = 0
-        self._w, self._lo, self._k, self._top = w, lo, k, 0.0
+        self.w, self._lo, self._k, self._top = w, lo, k, 0.0
         x = self._log()
         self.i = int(x.argmax())
         self._top = float(x[self.i])
@@ -249,7 +264,7 @@ class _LogSupport:
     def _log(self, out=None) -> np.ndarray:
         """log(w * 2**k) - top over the positive support, into ``out`` (a
         new array if None), with the same bits every time."""
-        w = self._w
+        w = self.w
         if not self._lo > 0:
             w = out = np.compress(w > 0, w, out=out)
         if self._k:
@@ -320,8 +335,11 @@ class _LogSupport:
         return b, lb, math.log1p(float(a @ x) / norm) / h
 
 
-def _escort(w, lo, hi, beta) -> np.ndarray:
-    e = _LogSupport(w, lo, hi).escort(beta)
+def _escort(w, beta) -> np.ndarray:
+    """`escort` of the weight vector w at a checked order beta."""
+    sup = _LogSupport(w)
+    e = sup.escort(beta)
+    w = sup.w
     if e.size == w.size:
         return e
     out = np.zeros_like(w)
@@ -337,7 +355,7 @@ def log_norm(w, gamma) -> float:
     exact to machine precision.
     """
     gamma = _check_order(gamma)
-    return _LogSupport(*as_weights(w, return_range=True)).log_norm(gamma, in_place=True)
+    return _LogSupport(w).log_norm(gamma, in_place=True)
 
 
 def escort(w, beta) -> np.ndarray:
@@ -345,8 +363,7 @@ def escort(w, beta) -> np.ndarray:
 
     Always a probability vector; zero entries of ``w`` stay zero.
     """
-    beta = _check_order(beta, "beta")
-    return _escort(*as_weights(w, return_range=True), beta)
+    return _escort(w, _check_order(beta, "beta"))
 
 
 def product_compose(p, q) -> np.ndarray:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    EntropyParams,
+    _as_params,
     _check_order,
     _escort,
     _exp_inplace,
@@ -188,12 +188,11 @@ def normalized_q_expectation(w, g, q) -> float:
     Scale invariant in ``w``; the ordinary mean at q = 1 on probability
     vectors.
     """
-    q = _check_order(q, "q")
-    w, *range_w = as_weights(w, return_range=True)
+    e = _escort(w, _check_order(q, "q"))
     g = np.asarray(g, dtype=float)
-    if g.shape != w.shape:
-        raise ValueError(f"g has shape {g.shape}, expected {w.shape}")
-    return float(_escort(w, *range_w, q) @ g)
+    if g.shape != e.shape:
+        raise ValueError(f"g has shape {g.shape}, expected {e.shape}")
+    return float(e @ g)
 
 
 def _check_setup(n, constraints, params, cfg):
@@ -205,9 +204,7 @@ def _check_setup(n, constraints, params, cfg):
         raise TypeError("constraints must be a ConstraintSet or None")
     if cset.m and cset.n != n:
         raise ValueError(f"constraints cover {cset.n} states, problem has {n}")
-    if not isinstance(params, EntropyParams):
-        params = EntropyParams(*params)
-    return n, cset, params, cfg or SolverConfig()
+    return n, cset, _as_params(params), cfg or SolverConfig()
 
 
 def _prior_terms(prior, d):

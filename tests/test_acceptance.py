@@ -1,8 +1,9 @@
-"""Acceptance suite: one test per criterion, each at its stated tolerance.
+"""Acceptance suite: every `lne check` invariant at seeds 0-9, then one
+test per criterion that no check states, each at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
-per criterion.  Everything is seeded; the whole module runs at desk
-scale (well under a minute).
+per check and per criterion.  Everything is seeded; the whole module
+runs at desk scale (well under a minute).
 """
 
 import math
@@ -16,13 +17,11 @@ from lne import (
     SolverConfig,
     escort,
     gm_subadditivity_rhs,
-    lnce,
     lne,
     lne_min_entropy_limit,
     log_norm,
     normalized_q_expectation,
     oracle_maxent,
-    product_compose,
     q_exp,
     q_log,
     renyi,
@@ -30,6 +29,7 @@ from lne import (
     solve_maxent,
     solve_minxent,
 )
+from lne.checks import CHECKS
 from lne.cli import main as cli_main
 
 
@@ -42,84 +42,29 @@ def random_weights(rng, n, mass=None):
     return w / w.sum() * (mass if mass is not None else rng.uniform(0.2, 1.0))
 
 
-def random_orders(rng, lo=0.1, hi=5.0):
-    return EntropyParams(*rng.uniform(lo, hi, size=2))
-
-
-def test_criterion_01_scale_invariance():
-    rng = np.random.default_rng(101)
-    failures = 0
-    for _ in range(1000):
-        w = random_weights(rng, rng.integers(2, 9))
-        prm = random_orders(rng)
-        c = 10.0 ** rng.uniform(-6.0, 3.0)
-        base = float(lne(w, prm))
-        if abs(float(lne(c * w, prm)) - base) > 1e-9 * (1.0 + abs(base)):
-            failures += 1
-    assert failures == 0
-    ok(1, "scale invariance over 1000 random (P, c, alpha, beta) draws")
-
-
-def test_criterion_02_escort_identity():
-    rng = np.random.default_rng(102)
-    failures = 0
-    for _ in range(500):
-        w = random_weights(rng, rng.integers(2, 9))
-        beta = rng.uniform(0.2, 3.0)
-        ratio = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
-        alpha = beta if abs(ratio - 1.0) < 1e-5 else beta * ratio
-        gap = abs(float(lne(w, (alpha, beta))) - float(renyi(escort(w, beta), alpha / beta)))
-        if gap > 1e-9:
-            failures += 1
-    assert failures == 0
-    ok(2, "lne equals the Renyi entropy of the escort on 500 draws")
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_check_at_seeds_0_to_9(name, check):
+    # scale invariance, the escort identity, the extremes, extensivity and
+    # expandability, the q-calculus identities and the beta = 1 reduction
+    # are stated once, in lne.checks; ten seeds are their whole draw
+    results = [check(seed, 1e-10) for seed in range(10)]  # the `lne check` default tol
+    failed = [(seed, detail) for seed, (passed, detail) in enumerate(results) if not passed]
+    assert not failed, failed
+    print(f"PASS check {name} at seeds 0-9 (seed 0: {results[0][1]})")
 
 
 def test_criterion_03_proposition_extremes():
-    grid = [0.2, 0.7, 1.0, 2.0, 5.0]
+    # uniform vectors past the n <= 20 of the extremes check
+    grid = [0.2, 0.3, 0.7, 1.0, 2.0, 5.0]
     for n in range(2, 51):
         u = np.full(n, 1.0 / n)
         for a in grid:
             for b in grid:
                 assert abs(float(lne(u, (a, b))) - math.log(n)) <= 1e-12
-    for a in grid:
-        for b in grid:
-            assert float(lne([0.0, 0.3, 0.0, 0.0], (a, b))) == 0.0
-            assert float(lne([1.0, 0.0], (a, b))) == 0.0
-    rng = np.random.default_rng(103)
-    for _ in range(500):
-        n = int(rng.integers(2, 10))
-        w = rng.uniform(0.01, 1.0, size=n)
-        w /= w.sum()
-        if np.max(np.abs(w - 1.0 / n)) < 1e-6:
-            continue
-        v = float(lne(w, random_orders(rng)))
-        assert 0.0 < v < math.log(n)
-    ok(3, "uniform attains log(n), degenerate is 0, interior is strict")
+    ok(3, "the uniform vector attains log(n) for every n <= 50 on the grid")
 
 
 def test_criterion_04_theorem2_suite():
-    rng = np.random.default_rng(104)
-    for _ in range(100):
-        w = random_weights(rng, rng.integers(2, 7))
-        prm = random_orders(rng)
-        base = float(lne(w, prm))
-        # argument symmetry (permutation invariance)
-        assert abs(float(lne(rng.permutation(w), prm)) - base) <= 1e-12
-        # expandability
-        assert abs(float(lne(np.append(w, 0.0), prm)) - base) <= 1e-12
-    for prm in ((2.0, 1.0), (0.5, 0.5), (3.0, 0.4)):
-        # decisivity and single-state zero
-        assert float(lne([1.0, 0.0], prm)) == 0.0
-        assert float(lne([0.0, 1.0], prm)) == 0.0
-        for p in (0.2, 0.7, 1.0):
-            assert float(lne([p], prm)) == 0.0
-    for _ in range(100):
-        p = random_weights(rng, rng.integers(2, 5))
-        q = random_weights(rng, rng.integers(2, 5))
-        prm = random_orders(rng)
-        lhs = float(lne(product_compose(p, q), prm))
-        assert abs(lhs - float(lne(p, prm)) - float(lne(q, prm))) <= 1e-9
     # pinned branching counterexample: the Shannon recursivity identity
     # E({1-p, pq, p(1-q)}) = E({1-p, p}) + p^a E({q, 1-q}) fails
     p, q, a = 0.3, 0.4, 1.0
@@ -128,7 +73,7 @@ def test_criterion_04_theorem2_suite():
     rhs = float(lne([1 - p, p], prm)) + p**a * float(lne([q, 1 - q], prm))
     violation = abs(lhs - rhs)
     assert violation > 1e-3
-    ok(4, f"Theorem 2 suite; branching violated by {violation:.4f} at the pinned tuple")
+    ok(4, f"branching violated by {violation:.4f} at the pinned tuple")
 
 
 def test_criterion_05_order_limits():
@@ -200,26 +145,7 @@ def test_criterion_07_schur_concavity_transfers():
 
 
 def test_criterion_08_q_deformed_identities():
-    xs = np.linspace(0.05, 10.0, 100)
-    for q in np.linspace(-2.0, 3.0, 26):
-        back = q_exp(q_log(xs, q), q)
-        assert np.max(np.abs(back - xs) / xs) <= 1e-10
-    rng = np.random.default_rng(108)
-    checked = 0
-    while checked < 300:
-        qq = rng.uniform(-2.0, 3.0)
-        x, y = rng.uniform(0.1, 5.0, size=2)
-        lx, ly = q_log(x, qq), q_log(y, qq)
-        assert abs(q_log(x * y, qq) - (lx + ly + (1 - qq) * lx * ly)) <= 1e-10 * max(
-            1.0, abs(q_log(x * y, qq))
-        )
-        u, v = rng.uniform(-0.5, 2.0, size=2)
-        if min(1 + (1 - qq) * u, 1 + (1 - qq) * v) <= 1e-8:
-            continue
-        lhs = q_exp(u, qq) * q_exp(v, qq)
-        rhs = q_exp(u + v + (1 - qq) * u * v, qq)
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-        checked += 1
+    # the inverse and product identities are the qdeform_identities check
     h = 1e-6
     for qq in (-1.5, -0.5, 0.0, 0.5, 1.3, 2.0):
         for x in np.linspace(0.3, 4.0, 10):
@@ -234,7 +160,7 @@ def test_criterion_08_q_deformed_identities():
     for x in np.linspace(0.05, 10.0, 50):
         for qq in (1.0 - 1e-10, 1.0 + 1e-10):
             assert abs(q_log(x, qq) - math.log(x)) <= 1e-8
-    ok(8, "inverse, product, derivative, and classical-limit identities")
+    ok(8, "derivative and classical-limit identities")
 
 
 PAIRS = [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.5, 0.5), (3.0, 0.5)]
@@ -300,7 +226,7 @@ def test_criterion_11_minxent_duality():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 3)) if n > 2 else 1
-        prm = random_orders(rng, 0.3, 3.0)
+        prm = EntropyParams(*rng.uniform(0.3, 3.0, size=2))
         seedp = rng.uniform(0.1, 1.0, size=n)
         rows, targets = [], []
         for _ in range(m):
@@ -315,25 +241,6 @@ def test_criterion_11_minxent_duality():
         minxent = solve_minxent(np.full(n, 1.0 / n), cset, prm, cfg)
         assert np.max(np.abs(maxent.p - minxent.p)) <= 1e-8
     ok(11, "uniform-prior minimum cross-entropy equals MaxEnt on 50 instances")
-
-
-def test_criterion_12_renyi_divergence_reduction():
-    rng = np.random.default_rng(112)
-    for _ in range(200):
-        n = int(rng.integers(2, 8))
-        p = rng.uniform(0.05, 1.0, size=n)
-        p /= p.sum()
-        q = rng.uniform(0.05, 1.0, size=n)
-        q /= q.sum()
-        alpha = rng.uniform(0.1, 4.0)
-        if abs(alpha - 1.0) < 1e-6:
-            alpha = 2.0
-        oracle = math.log(float(np.sum(p**alpha * q ** (1.0 - alpha)))) / (alpha - 1.0)
-        assert abs(float(lnce(p, q, (alpha, 1.0))) - oracle) <= 1e-10
-    worked = float(lnce([0.5, 0.5], [0.75, 0.25], (2.0, 1.0)))
-    assert worked == pytest.approx(math.log(4 / 3), abs=1e-12)
-    assert worked == pytest.approx(0.287682, abs=5e-7)
-    ok(12, "200 draws match the directed divergence; log(4/3) reproduced")
 
 
 ALPHAS_FIG1 = [0.1, 0.5, 1.0, 2.0, 10.0, 100.0]

@@ -423,8 +423,16 @@ class TestCheckCommand:
     def test_check_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--seed", "1")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) >= 5 and all(line.startswith("ok ") for line in lines)
+        names = [line.split(":")[0] for line in out.strip().splitlines()]
+        assert names == [
+            "ok scale_invariance",
+            "ok escort_identity",
+            "ok extremes",
+            "ok composition",
+            "ok qdeform_identities",
+            "ok cross_entropy",
+            "ok solvers",
+        ]
 
     def test_output_file_holds_every_line(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "check", "--seed", "1")
