@@ -42,15 +42,23 @@ def random_weights(rng, n, mass=None):
     return w / w.sum() * (mass if mass is not None else rng.uniform(0.2, 1.0))
 
 
-@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
-def test_check_at_seeds_0_to_9(name, check):
+@pytest.mark.parametrize("name", [name for name, _ in CHECKS])
+def test_check_at_seeds_0_to_9(name, check_at_seeds):
     # scale invariance, the escort identity, the extremes, extensivity and
     # expandability, the q-calculus identities and the beta = 1 reduction
     # are stated once, in lne.checks; ten seeds are their whole draw
-    results = [check(seed, 1e-10) for seed in range(10)]  # the `lne check` default tol
-    failed = [(seed, detail) for seed, (passed, detail) in enumerate(results) if not passed]
-    assert not failed, failed
-    print(f"PASS check {name} at seeds 0-9 (seed 0: {results[0][1]})")
+    detail = check_at_seeds(name)
+    print(f"PASS check {name} at seeds 0-9 (seed 0: {detail})")
+
+
+def test_criterion_01_scale_invariance(check_at_seeds):
+    check_at_seeds("scale_invariance")
+    ok(1, "scale invariance over 1000 random (P, c, alpha, beta) draws")
+
+
+def test_criterion_02_escort_identity(check_at_seeds):
+    check_at_seeds("escort_identity")
+    ok(2, "lne equals the Renyi entropy of the escort on 1000 draws")
 
 
 def test_criterion_03_proposition_extremes():
@@ -245,6 +253,12 @@ def test_criterion_11_minxent_duality():
 
 ALPHAS_FIG1 = [0.1, 0.5, 1.0, 2.0, 10.0, 100.0]
 BETAS_FIG1 = [0.1, 0.5, 1.0, 2.0, 100.0]
+
+
+def test_criterion_12_renyi_divergence_reduction(check_at_seeds):
+    # the worked log(4/3) value is test_crossent's
+    check_at_seeds("cross_entropy")
+    ok(12, "500 beta = 1 draws match the directed divergence")
 
 
 def test_criterion_13_bernoulli_curves(capsys):

@@ -42,6 +42,17 @@ class TestLnce:
         assert v.prior_mass == pytest.approx(1.0)
         assert v.params.alpha == 2.0
 
+    # the uniform-prior identity (mass 1 and W < 1) and the beta = 1
+    # reduction are stated in lne.checks; these read its run at seeds 0-9
+    def test_uniform_prior_identity(self, check_at_seeds):
+        check_at_seeds("cross_entropy")
+
+    def test_uniform_prior_identity_subprobability(self, check_at_seeds):
+        check_at_seeds("cross_entropy")
+
+    def test_beta_one_reduction(self, check_at_seeds):
+        check_at_seeds("cross_entropy")
+
     def test_first_argument_scale_invariance(self):
         rng = np.random.default_rng(33)
         for _ in range(40):

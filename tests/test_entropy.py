@@ -203,6 +203,20 @@ class TestLNE:
         v = lne([0.5, 0.5], EntropyParams(2.0, 1.0))
         assert v.family == "lne" and v.params == (2.0, 1.0)
 
+    # scale invariance, the escort identity, extensivity and expandability
+    # are stated in lne.checks; these read its run at seeds 0-9
+    def test_scale_invariance(self, check_at_seeds):
+        check_at_seeds("scale_invariance")
+
+    def test_escort_identity(self, check_at_seeds):
+        check_at_seeds("escort_identity")
+
+    def test_expandability(self, check_at_seeds):
+        check_at_seeds("composition")
+
+    def test_extensivity(self, check_at_seeds):
+        check_at_seeds("composition")
+
     def test_parameter_symmetry(self):
         rng = np.random.default_rng(16)
         for _ in range(40):

@@ -37,6 +37,16 @@ def test_qexp_cutoff_boundary():
     assert q_exp(1.0, 2.25) == 0.0
 
 
+# the inverse and product identities are stated in lne.checks; these
+# read its run at seeds 0-9
+def test_inverse_identity_grid(check_at_seeds):
+    check_at_seeds("qdeform_identities")
+
+
+def test_product_identities(check_at_seeds):
+    check_at_seeds("qdeform_identities")
+
+
 def test_derivative_identities():
     h = 1e-6
     for q in (-1.5, -0.5, 0.0, 0.5, 1.3, 2.0):
