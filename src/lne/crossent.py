@@ -31,7 +31,6 @@ from .numkit import (
     _exp_inplace,
     _as_params,
     _LogSupport,
-    _lse_inplace,
     _min,
     as_weights,
 )
@@ -105,7 +104,8 @@ def _lnce(sup, q, prm) -> float:
     mean carries the first-order part of the sum, which would otherwise
     cancel near the diagonal, so S is as accurate as ybar at any d.
     Past that range the sum rests on entries far out in y, whose escort
-    weights may underflow, and it is taken in log space."""
+    weights may underflow, and it is taken in log space, as m + L(1) of
+    the log weights beta x + d y."""
     alpha, beta = prm.alpha, prm.beta
     p, x = sup.w, sup.x
     qs = q if x.size == p.size else q[p > 0]  # q on the support of p
@@ -142,11 +142,12 @@ def _lnce(sup, q, prm) -> float:
             np.expm1(y, out=y)
             s += (math.log1p(float(a @ y) / norm) - math.log1p(dropped / norm)) / d
         return beta * s - l_beta
-    # log(e . exp(d y)) + L(beta) = lse(beta x + d y), in place over x
+    # log(e . exp(d y)) + L(beta), in place over x
     y *= d
     u = np.multiply(x, beta, out=x)
     u += y
-    return beta * (_lse_inplace(u) - l_beta) / d - l_beta
+    sup_u = _LogSupport.from_log(u)
+    return beta * (sup_u.m + sup_u.log1p_sum(1.0, in_place=True) - l_beta) / d - l_beta
 
 
 def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:

@@ -207,7 +207,8 @@ def gm_subadditivity_rhs(p, q, params) -> float:
     With lr = 1 - a/b, e the softmax of a log||.||_b and E' = e . E, the
     value is E' + log1p(e . expm1(lr (E - E'))) / lr: the mean carries
     the first-order part of the sum, which would cancel near the diagonal.
-    Where an lr (E_i - E') overflows exp, the sum is taken in log space.
+    Where an lr (E_i - E') overflows exp, the sum is taken in log space,
+    scaled by 1/lr, which keeps it finite where a/b overflows.
     """
     prm = _as_params(params)
     if prm.equal_orders:
@@ -217,22 +218,27 @@ def gm_subadditivity_rhs(p, q, params) -> float:
     if mass > 1.0 + TOL_MASS:
         raise ValueError(f"combined mass {mass} exceeds 1")
     alpha, beta = prm.alpha, prm.beta
-    lr = (beta - alpha) / beta  # exact numerator near the diagonal
-    lw, ent = [], []
+    # lr = 1 - a/b (exact numerator near the diagonal); c = 1 / lr and
+    # r = c a/b stay finite where a/b overflows
+    lr, c, r = (beta - alpha) / beta, beta / (beta - alpha), alpha / (beta - alpha)
+    psi, ent = [], []
     for sup in sups:
         b, lb, d = sup.slope(alpha, beta)
         ent.append(lb - b * d)
-        # alpha * log||w||_beta, without L(beta) / beta, which overflows at tiny beta
-        lw.append(alpha * sup.m + alpha / beta * (lb + (beta - b) * d))
-    # log e, formed from the lw difference: lw itself may be far from 0
-    z = lw[1] - lw[0]
-    log_e = [-math.log1p(math.exp(-abs(z)))] * 2
-    log_e[int(z <= 0)] -= abs(z)  # the system with the smaller weight
-    e = [math.exp(v) for v in log_e]
+        psi.append(beta * sup.m + (lb + (beta - b) * d))
+    # the difference z of the log weights a/b psi(beta), and c z
+    cz = r * (psi[1] - psi[0])
+    z = cz / c
+    small = int(z <= 0)  # the system with the smaller weight
+    head = -math.log1p(math.exp(-abs(z)))  # log e of the larger one
+    e = [math.exp(head)] * 2
+    e[small] = math.exp(head - abs(z))
     mean = e[0] * ent[0] + e[1] * ent[1]
     x = [lr * (ent[0] - mean), lr * (ent[1] - mean)]
-    if max(x) <= _LOG_FLOAT_MAX:
+    if x[0] <= _LOG_FLOAT_MAX and x[1] <= _LOG_FLOAT_MAX:  # x is nan where lr overflows
         return mean + math.log1p(e[0] * math.expm1(x[0]) + e[1] * math.expm1(x[1])) / lr
-    u = [log_e[0] + lr * ent[0], log_e[1] + lr * ent[1]]
-    k = int(u[1] > u[0])  # the dominant term
-    return ent[k] + (log_e[k] + math.log1p(math.exp(u[1 - k] - u[k]))) / lr
+    # c log sum exp(u), u = log e + lr E, from v = c u: c log e = c head - c |z|
+    v = [c * head + ent[0], c * head + ent[1]]
+    v[small] -= math.copysign(cz, c)
+    k = int((v[1] > v[0]) == (c > 0))  # the dominant term, the larger u = v / c
+    return v[k] + c * math.log1p(math.exp((v[1 - k] - v[k]) / c))

@@ -31,6 +31,12 @@ and D (see `lne.entropy`), with no formula switch near the diagonal.
 A call holds x and one exp array: the exp array of L(b) is also the
 b-escort, and D works in place over x.
 
+`_LogSupport.from_log` takes the same shift of weights given by their
+logs, so that the class is the package's only log-sum-exp: the solver's
+potential is log G = alpha * m + L(alpha) over the log stationary
+weights (see `lne.optimize`), and `lnce` sums in log space past its
+overflow bound.
+
 Every exp of a full-size array goes through `_exp_inplace`, which hands
 numpy's vector exp only arguments whose results are at least 2**-1021.
 numpy's AVX-512 exp drops a whole SIMD vector to a slow path, about a
@@ -61,7 +67,6 @@ __all__ = [
     "total_mass",
     "is_probability",
     "is_subprobability",
-    "lse",
     "log_norm",
     "escort",
     "product_compose",
@@ -185,43 +190,6 @@ def _exp_inplace(x, x_min=None) -> np.ndarray:
     return x
 
 
-def _lse_inplace(a) -> float:
-    """`lse` of a nonempty float64 vector the caller hands over; ``a`` is
-    overwritten.
-
-    The terms tying with the maximum are zeroed rather than dropped:
-    numpy's pairwise sum groups terms by position, so the full length
-    keeps every rounding equal to that of the usual library logsumexp."""
-    i = a.argmax()  # rather than max, see _min; i is the tie when k == 1
-    a_max = a[i]
-    if not math.isfinite(a_max):
-        return float(a_max)
-    a -= a_max
-    # a == 0 is exactly the set tying with the maximum
-    tie = a == 0.0
-    k = np.count_nonzero(tie)
-    _exp_inplace(a)
-    a[i if k == 1 else tie] = 0.0
-    s = a.sum()
-    if s != 0.0:
-        s = s / k
-    return float(np.log1p(s) + (np.log(k) if k > 1 else 0.0) + a_max)
-
-
-def lse(a) -> float:
-    """log(sum(exp(a))) of a nonempty 1-D array, accurate and overflow-free.
-
-    The entries tying with the maximum are taken out of the sum and added
-    back through log1p (Blanchard, Higham & Higham, IMA J. Numer. Anal.
-    41(4), 2021).  -inf entries contribute nothing; a maximum of +inf,
-    -inf or nan is returned as is.
-    """
-    a = np.array(a, dtype=float, order="K").ravel(order="K")
-    if not a.size:
-        a.max()  # raises numpy's error for an empty reduction
-    return _lse_inplace(a)
-
-
 _NORMAL_MIN = 2.0**-1022
 _LOG2 = math.log(2.0)
 # exp overflows float64 above this
@@ -243,7 +211,8 @@ class _LogSupport:
     zeros in w, min(x): gamma * lo tells an exp pass whether it has
     underflowing lanes.  `log1p_sum` leaves its exp array ``a`` and that
     array's sum ``s``, which `escort` and `slope` use instead of a second
-    exp pass.  ``w`` is the validated float64 vector.
+    exp pass.  ``w`` is the validated float64 vector.  A support built
+    by `from_log` has no ``w``.
     """
 
     __slots__ = ("w", "x", "m", "i", "lo", "a", "s", "_lo", "_k", "_top")
@@ -254,12 +223,33 @@ class _LogSupport:
         if k < 0 and not math.ldexp(lo, k) >= _NORMAL_MIN:
             k = 0
         self.w, self._lo, self._k, self._top = w, lo, k, 0.0
-        x = self._log()
+        self._top = self._shift(self._log())
+        self.m = math.log(hi)
+        self.lo = math.log(lo) - self.m if lo > 0 else float(_min(self.x))
+
+    @classmethod
+    def from_log(cls, lx):
+        """The support of the weights exp(lx), from the float64 vector
+        ``lx`` of log weights, -inf for a zero weight, which it overwrites
+        with x = lx - m, m = max lx.  Zero weights stay in x, so its
+        escorts keep the length of lx, and lo = min(x).  It has no ``w``:
+        `slope`, which may take the log of w again, is not for it."""
+        sup = cls.__new__(cls)
+        sup.m = sup._shift(lx)
+        sup.lo = float(_min(sup.x))
+        return sup
+
+    def _shift(self, x) -> float:
+        """Take ``x`` as the support's x, shifted in place by its maximum at
+        index i, and return that maximum.  A maximum that is not finite
+        (every weight zero, or one overflowed) leaves x unshifted, so that
+        L and psi are as infinite or nan as the sum itself."""
         self.i = int(x.argmax())
-        self._top = float(x[self.i])
-        x -= self._top
-        self.x, self.m, self.a = x, math.log(hi), None
-        self.lo = math.log(lo) - self.m if lo > 0 else float(_min(x))
+        top = float(x[self.i])
+        if math.isfinite(top):
+            x -= top
+        self.x, self.a = x, None
+        return top
 
     def _log(self, out=None) -> np.ndarray:
         """log(w * 2**k) - top over the positive support, into ``out`` (a

@@ -17,10 +17,11 @@ Both branches are the minimizers of one convex potential, the Legendre
 dual of the escort constraints (Tsallis, Mendes & Plastino, Physica A
 261, 1998): with d = a - b and bracket_i(l) as above,
 
-    G(l) = sum_i bracket_i(l)_+^(a/d),     log G = lse(a * log p_i(l)),
+    G(l) = sum_i bracket_i(l)_+^(a/d),     log G = a m + L(a),
 
-whose gradient is a * (sum_i p_i^b / sum_i p_i^a) times the escort
-residual R_r(l) = <<g_r>>_beta(p(l)) - G_r, and whose Newton system is
+with m = max_i log p_i(l) and L the shifted log1p sum of `lne.numkit`.
+Its gradient is a * (sum_i p_i^b / sum_i p_i^a) times the escort
+residual R_r(l) = <<g_r>>_beta(p(l)) - G_r, and its Newton system is
 b * sum_i (e_i / bracket_i) dg_i dg_i^T v = -R over the beta-escort e.
 For a > b a state whose bracket goes nonpositive is clamped to zero
 probability, mirroring the q-exponential cutoff, and reported; for
@@ -45,15 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import (
-    _as_params,
-    _check_order,
-    _escort,
-    _exp_inplace,
-    _lse_inplace,
-    as_weights,
-    lse,
-)
+from .numkit import _LOG_FLOAT_MAX, _as_params, _check_order, _escort, _LogSupport, as_weights
 
 __all__ = [
     "InfeasibleError",
@@ -152,7 +145,9 @@ class SolverConfig:
         try:
             max_iter = int(self.max_iter)
         except (OverflowError, ValueError):  # inf, nan
-            raise ValueError(f"max_iter must be a finite integer, got {self.max_iter!r}") from None
+            max_iter = None
+        if max_iter != self.max_iter:  # also 2.7, which int() would truncate
+            raise ValueError(f"max_iter must be a finite integer, got {self.max_iter!r}")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         object.__setattr__(self, "max_iter", max_iter)
@@ -256,40 +251,39 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
     dg = cset.g - cset.targets[:, None]
 
     def potential(lam):
-        """(log G, logw, clamped) at ``lam``; G is +inf once a bracket
-        with a negative exponent a/d reaches zero."""
+        """(log G, support of the log weights, clamped) at ``lam``; G is
+        +inf once a bracket with a negative exponent a/d reaches zero."""
         lw, clamped = _log_weights(lam, dg, d, terms)
         if d < 0 and clamped.any():
-            return np.inf, lw, clamped
-        return _lse_inplace(alpha * lw), lw, clamped
+            return np.inf, None, clamped
+        sup = _LogSupport.from_log(lw)
+        return alpha * sup.m + sup.log1p_sum(alpha), sup, clamped
 
-    def residual(lw):
-        e = beta * lw
-        log_sb = _lse_inplace(e)
-        # the beta-escort, over the array lse took
-        np.multiply(lw, beta, out=e)
-        e -= log_sb
-        _exp_inplace(e)
-        return dg @ e, e, log_sb
+    def residual(sup):
+        """(R, e, L(beta)): the escort residual, the beta-escort (the
+        support's exp array) and psi(beta) - beta * m."""
+        e = sup.escort(beta)
+        return dg @ e, e, math.log1p(sup.s)
 
     lam = np.zeros(cset.m)
-    log_g, lw, clamped = potential(lam)
+    log_g, sup, clamped = potential(lam)
     iterations = 0
     while True:
         if clamped.all():
             raise InfeasibleError("the targets are jointly unreachable: every state clamps")
-        R, e, log_sb = residual(lw)
+        R, e, lb = residual(sup)
         res_norm = float(np.max(np.abs(R)))
         if res_norm <= cfg.tol_residual or iterations == cfg.max_iter:
             break
-        # e_i / bracket_i, with bracket_i = exp(d * logw_i); zero where clamped
+        # e_i / bracket_i, with bracket_i = exp(d * logw_i) and logw = x + m:
+        # exp((beta - d) x_i - (d m + L(beta))); zero where clamped
         if d == 0.0:
             u = e
         elif clamped.any():
-            u = np.exp((beta - d) * np.where(clamped, 0.0, lw) - log_sb)
+            u = np.exp((beta - d) * np.where(clamped, 0.0, sup.x) - (d * sup.m + lb))
             u[clamped] = 0.0
         else:
-            u = np.exp((beta - d) * lw - log_sb)
+            u = np.exp((beta - d) * sup.x - (d * sup.m + lb))
         H = beta * (dg * u) @ dg.T
         try:
             v = np.linalg.solve(H, -R)
@@ -302,27 +296,31 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
                 "the targets are jointly unreachable: log G falls without bound "
                 "along a direction that lowers every state's utility"
             )
-        slope = alpha * np.exp(log_sb - log_g) * float(R @ v)
+        slope = alpha * np.exp(beta * sup.m + lb - log_g) * float(R @ v)
         flat = 8e-16 * max(1.0, abs(log_g))
         t = 1.0
         for _ in range(60):
             cand = lam + t * v
-            log_gc, lwc, clampedc = potential(cand)
+            log_gc, supc, clampedc = potential(cand)
             # near the minimum log G is flat to rounding: accept a step
             # that still lowers the residual there
             if log_gc <= log_g + 1e-4 * t * slope or (
                 abs(log_gc - log_g) <= flat
-                and np.max(np.abs(residual(lwc)[0])) < res_norm
+                and np.max(np.abs(residual(supc)[0])) < res_norm
             ):
                 break
             t *= 0.5
         else:
             break
-        lam, log_g, lw, clamped = cand, log_gc, lwc, clampedc
+        lam, log_g, sup, clamped = cand, log_gc, supc, clampedc
         iterations += 1
 
-    log_z = lse(lw)
-    p = np.exp(lw - log_z)
+    p = sup.escort(1.0)
+    log_z = sup.m + math.log1p(sup.s)
+    if not p.all() and np.isfinite(sup.x[p == 0.0]).any():
+        # a weight with a finite log underflowed (at tiny beta): the
+        # residual is that of the returned p, not of the iterate
+        res_norm = float(np.max(np.abs(dg @ _escort(p, beta))))
     converged = res_norm <= cfg.tol_residual
     report = SolverReport(
         iterations=iterations,
@@ -334,7 +332,7 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
     sol = MaxEntSolution(
         p=p,
         lambdas=lam.copy(),
-        Z=float(np.exp(log_z)),
+        Z=math.exp(log_z) if log_z <= _LOG_FLOAT_MAX else math.inf,
         branch=branch,
         report=report,
     )

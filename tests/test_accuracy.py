@@ -207,13 +207,16 @@ def test_gm_subadditivity_rhs_matches_mpmath(seed):
 
 
 def test_gm_subadditivity_rhs_edge_systems():
-    # both systems single-entry (both entropies 0), zeros, and a system
-    # with a weight so small that its softmax share underflows
+    # both systems single-entry (both entropies 0), zeros, a system with
+    # a weight so small that its softmax share underflows, and orders
+    # whose ratio alpha/beta overflows
     for p, q in (
         ([0.3], [0.6]),
         ([0.2, 0.0, 0.1], [0.0, 0.4]),
         ([1e-300, 1e-300], [0.5, 0.25, 0.0]),
+        ([0.3, 0.2], [0.1, 0.4]),
     ):
         p, q = np.array(p), np.array(q)
-        for a, b in ((2.0, 2.0 * (1 + 1e-12)), (0.7 * (1 - 1e-9), 0.7), (3e3, 0.5), (0.5, 40.0)):
+        pairs = ((2.0, 2.0 * (1 + 1e-12)), (0.7 * (1 - 1e-9), 0.7), (3e3, 0.5), (0.5, 40.0))
+        for a, b in pairs + ((0.05, 1e-310),):
             _gm_case(p, q, a, b)

@@ -301,7 +301,7 @@ class TestSolverCommands:
         assert float(rec["residual_norm"]) > 1e-10
         assert "no convergence" in err
 
-    @pytest.mark.parametrize("bad", ["1e400", "NaN"])
+    @pytest.mark.parametrize("bad", ["1e400", "NaN", "2.7"])
     def test_non_finite_max_iter_exit_two(self, tmp_path, capsys, bad):
         path = tmp_path / "prob.json"
         path.write_text(

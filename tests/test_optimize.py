@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestConstraintValidation:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 2.7])
     def test_solver_config_rejects_non_finite_max_iter(self, bad):
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=bad)
@@ -189,6 +190,15 @@ class TestMaxEnt:
         assert sol.p[0] == 0.0
         assert 0 in sol.report.clamped_states
 
+    def test_clamped_states_on_a_long_vector(self):
+        # from 2048 states on, the clamped states' -inf log weights take
+        # the exp pass that keeps underflowing lanes off numpy's slow path
+        n = 4096
+        cset = ConstraintSet([np.linspace(0.0, 2.0, n)], [1.9])
+        sol = solve_maxent(n, cset, (3.0, 1.0), CFG)
+        assert len(sol.report.clamped_states) > n // 2
+        assert residuals(sol, cset, 1.0).max() <= 1e-10
+
     @pytest.mark.parametrize(
         "g, targets",
         [
@@ -213,6 +223,29 @@ class TestMaxEnt:
         assert exc.value.report.converged is False
         assert exc.value.best.p.shape == (4,)
         assert exc.value.report.final_residual_norm > 1e-10
+
+    def test_step_that_clamps_every_state_is_infeasible(self):
+        # jointly unreachable targets, where a trial step clamps all four
+        # states: log G is -inf there, the step is taken, and the next
+        # iteration certifies the targets as unreachable
+        g = [[1.2, 1.4, -1.3, 0.6], [1.3, 0.9, -0.9, -1.4], [-0.1, -0.5, 0.0, -0.1]]
+        cset = ConstraintSet(g, [-0.65, 0.08, -0.06])
+        with pytest.raises(InfeasibleError, match="every state clamps"):
+            solve_maxent(4, cset, (4.5, 0.8), CFG)
+
+    def test_underflowing_weights_fail_their_residual(self):
+        # at beta = 1e-5 the log weights of the solution spread past the
+        # float range: every weight but one underflows, so p misses the
+        # target that the iterate met, and Z overflows
+        cset = ConstraintSet([[0.0, 1.0, 2.0, 3.0, 4.0]], [1.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as exc:
+                solve_maxent(5, cset, (1e-5, 1e-5), CFG)
+        best = exc.value.best
+        assert best.Z == math.inf and best.p.tolist().count(0.0) == 4
+        assert best.report.final_residual_norm == pytest.approx(residuals(best, cset, 1e-5).max())
+        assert best.report.final_residual_norm > CFG.tol_residual
 
 
 class TestMinXEnt:
