@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _LOG_FLOAT_MAX, _as_params, _check_order, _escort, _LogSupport, as_weights
+from .numkit import _LOG_FLOAT_MAX, _as_params, _check_order, _escort, _LogSupport, _min, as_weights
 
 __all__ = [
     "InfeasibleError",
@@ -159,6 +159,9 @@ class SolverConfig:
         return 0
 
 
+_DEFAULT_CONFIG = SolverConfig()
+
+
 @dataclass(frozen=True)
 class SolverReport:
     iterations: int
@@ -199,18 +202,18 @@ def _check_setup(n, constraints, params, cfg):
         raise TypeError("constraints must be a ConstraintSet or None")
     if cset.m and cset.n != n:
         raise ValueError(f"constraints cover {cset.n} states, problem has {n}")
-    return n, cset, _as_params(params), cfg or SolverConfig()
+    return n, cset, _as_params(params), cfg or _DEFAULT_CONFIG
 
 
 def _prior_terms(prior, d):
     """(lw0, prior^-d, zero): what `_log_weights` needs of the prior, for
-    one solve.  lw0 is log prior with 0 at zero priors (0.0 without a
-    prior), and zero marks the zero priors, or is None if there are none."""
+    one solve.  lw0 is log prior with 0 at zero priors, and zero marks the
+    zero priors, or is None if there are none.  All are None without a prior."""
     if prior is None:
-        return 0.0, None, None
-    zero = prior == 0
-    lw0 = np.log(np.where(zero, 1.0, prior))
-    return lw0, np.exp(-d * lw0), zero if zero.any() else None
+        return None, None, None
+    zero = None if _min(prior) > 0.0 else prior == 0
+    lw0 = np.log(prior if zero is None else np.where(zero, 1.0, prior))
+    return lw0, np.exp(-d * lw0), zero
 
 
 def _log_weights(lam, dg, d, terms):
@@ -219,30 +222,39 @@ def _log_weights(lam, dg, d, terms):
     ``terms`` is `_prior_terms(prior, d)`.
 
     Returns (logw, clamped) where clamped marks states whose bracket is
-    nonpositive (logw = -inf, zero probability).
+    nonpositive (logw = -inf, zero probability), and is None if none is.
     """
     lw0, scale, zero = terms
     s = lam @ dg
     if d == 0.0:  # equal orders: exponential branch, where nothing clamps
-        lw = lw0 + s
+        if lw0 is not None:
+            s += lw0
         if zero is not None:
-            lw[zero] = -np.inf
-        return lw, np.zeros(s.shape, dtype=bool)
-    # bracket / prior^d - 1 (bracket - 1 without a prior, exact as d -> 0):
-    # forming prior^d + d*s instead cancels when the bracket is small next
-    # to prior^d
-    rel = d * s if scale is None else d * s * scale
-    clamped = rel <= -1.0
-    if clamped.any():
-        lw = np.where(clamped, -np.inf, lw0 + np.log1p(np.where(clamped, 0.0, rel)) / d)
-    else:
-        lw = lw0 + np.log1p(rel) / d
+            s[zero] = -np.inf
+        return s, None
+    # rel = bracket / prior^d - 1 (bracket - 1 without a prior, exact as
+    # d -> 0): forming prior^d + d*s instead cancels when the bracket is
+    # small next to prior^d
+    rel = np.multiply(s, d, out=s)
+    if scale is not None:
+        rel *= scale
+    clamped = None
+    if zero is not None or not rel[rel.argmin()] > -1.0:  # a clamp, or a nan
+        # a zero prior (alpha > beta only) has scale 1: the bare bracket d*s
+        b = None if zero is None else rel[zero]
+        clamped = rel <= -1.0
+        rel[clamped] = 0.0
+    lw = np.log1p(rel, out=rel)
+    lw /= d
+    if lw0 is not None:
+        lw += lw0
+    if clamped is None:
+        return lw, None
+    lw[clamped] = -np.inf
     if zero is not None:
-        # a zero prior (alpha > beta only) leaves the bare bracket d*s
-        b = d * s[zero]
         clamped[zero] = b <= 0.0
         lw[zero] = np.where(b > 0.0, np.log(np.where(b > 0.0, b, 1.0)) / d, -np.inf)
-    return lw, clamped
+    return lw, clamped if clamped.any() else None
 
 
 def _solve_lagrange(cset, params, cfg, d, terms, branch):
@@ -254,44 +266,45 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
         """(log G, support of the log weights, clamped) at ``lam``; G is
         +inf once a bracket with a negative exponent a/d reaches zero."""
         lw, clamped = _log_weights(lam, dg, d, terms)
-        if d < 0 and clamped.any():
+        if d < 0 and clamped is not None:
             return np.inf, None, clamped
         sup = _LogSupport.from_log(lw)
         return alpha * sup.m + sup.log1p_sum(alpha), sup, clamped
 
     def residual(sup):
-        """(R, e, L(beta)): the escort residual, the beta-escort (the
-        support's exp array) and psi(beta) - beta * m."""
+        """(R, max |R|, e, L(beta)): the escort residual (finite, as log G <
+        +inf here), its norm, the beta-escort and psi(beta) - beta * m."""
         e = sup.escort(beta)
-        return dg @ e, e, math.log1p(sup.s)
+        R = dg @ e
+        return R, max(map(abs, R.tolist())), e, math.log1p(sup.s)
 
     lam = np.zeros(cset.m)
     log_g, sup, clamped = potential(lam)
     iterations = 0
     while True:
-        if clamped.all():
+        if clamped is not None and clamped.all():
             raise InfeasibleError("the targets are jointly unreachable: every state clamps")
-        R, e, lb = residual(sup)
-        res_norm = float(np.max(np.abs(R)))
+        R, res_norm, e, lb = residual(sup)
         if res_norm <= cfg.tol_residual or iterations == cfg.max_iter:
             break
         # e_i / bracket_i, with bracket_i = exp(d * logw_i) and logw = x + m:
         # exp((beta - d) x_i - (d m + L(beta))); zero where clamped
         if d == 0.0:
             u = e
-        elif clamped.any():
+        elif clamped is not None:
             u = np.exp((beta - d) * np.where(clamped, 0.0, sup.x) - (d * sup.m + lb))
             u[clamped] = 0.0
         else:
             u = np.exp((beta - d) * sup.x - (d * sup.m + lb))
         H = beta * (dg * u) @ dg.T
-        try:
-            v = np.linalg.solve(H, -R)
-        except np.linalg.LinAlgError:  # too few unclamped states to span g
+        try:  # at m = 1, the division LAPACK's solve makes, bit for bit, minus its call cost
+            v = np.array([-R.item() / H.item()]) if H.size == 1 else np.linalg.solve(H, -R)
+        except (ZeroDivisionError, np.linalg.LinAlgError):  # too few unclamped states to span g
             v = np.linalg.lstsq(H, -R, rcond=None)[0]
-        if not np.all(np.isfinite(v)):
+        if not all(map(math.isfinite, v.tolist())):
             break
-        if np.all(v @ dg < 0.0):
+        vd = v @ dg
+        if vd[vd.argmax()] < 0.0:
             raise InfeasibleError(
                 "the targets are jointly unreachable: log G falls without bound "
                 "along a direction that lowers every state's utility"
@@ -305,8 +318,7 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
             # near the minimum log G is flat to rounding: accept a step
             # that still lowers the residual there
             if log_gc <= log_g + 1e-4 * t * slope or (
-                abs(log_gc - log_g) <= flat
-                and np.max(np.abs(residual(supc)[0])) < res_norm
+                abs(log_gc - log_g) <= flat and residual(supc)[1] < res_norm
             ):
                 break
             t *= 0.5
@@ -323,24 +335,15 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
         res_norm = float(np.max(np.abs(dg @ _escort(p, beta))))
     converged = res_norm <= cfg.tol_residual
     report = SolverReport(
-        iterations=iterations,
-        final_residual_norm=res_norm,
-        converged=converged,
-        restarts_used=0,
-        clamped_states=tuple(int(i) for i in np.nonzero(clamped)[0]),
+        iterations, res_norm, converged, restarts_used=0,
+        clamped_states=() if clamped is None else tuple(np.flatnonzero(clamped).tolist()),
     )
-    sol = MaxEntSolution(
-        p=p,
-        lambdas=lam.copy(),
-        Z=math.exp(log_z) if log_z <= _LOG_FLOAT_MAX else math.inf,
-        branch=branch,
-        report=report,
-    )
+    z = math.exp(log_z) if log_z <= _LOG_FLOAT_MAX else math.inf
+    sol = MaxEntSolution(p=p, lambdas=lam, Z=z, branch=branch, report=report)
     if not converged:
         raise ConvergenceError(
             f"no convergence after {iterations} Newton steps "
-            f"(residual {res_norm:.3e} > tol {cfg.tol_residual:.3e})",
-            sol,
+            f"(residual {res_norm:.3e} > tol {cfg.tol_residual:.3e})", sol
         )
     return sol
 
@@ -350,19 +353,16 @@ def _solve(prior, n, constraints, params, cfg):
     n, cset, params, cfg = _check_setup(n, constraints, params, cfg)
     # the diagonal is the d -> 0 limit of the bracket: the exponential branch
     d = params.alpha - params.beta
-    if d < 0 and prior is not None and np.any(prior == 0):
-        bad = np.nonzero(prior == 0)[0]
+    if d < 0 and prior is not None and _min(prior) == 0.0:
         raise ValueError(
-            f"prior is zero on states {bad.tolist()}: the bracket form needs "
-            "prior^(alpha-beta) with alpha < beta"
+            f"prior is zero on states {np.flatnonzero(prior == 0).tolist()}: the bracket "
+            "form needs prior^(alpha-beta) with alpha < beta"
         )
     branch = "exponential" if d == 0.0 else "power_law"
     if cset.m == 0:
         w = np.ones(n) if prior is None else prior
         z = float(w.sum())
-        report = SolverReport(
-            iterations=0, final_residual_norm=0.0, converged=True, restarts_used=0
-        )
+        report = SolverReport(iterations=0, final_residual_norm=0.0, converged=True, restarts_used=0)
         return MaxEntSolution(p=w / z, lambdas=np.empty(0), Z=z, branch=branch, report=report)
     return _solve_lagrange(cset, params, cfg, d, _prior_terms(prior, d), branch)
 

@@ -247,6 +247,39 @@ class TestMaxEnt:
         assert best.report.final_residual_norm == pytest.approx(residuals(best, cset, 1e-5).max())
         assert best.report.final_residual_norm > CFG.tol_residual
 
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            1e-310,  # the 1x1 Newton matrix is subnormal and the step overflows
+            5e-324,  # it underflows to 0, and the least-squares step is 0
+        ],
+    )
+    def test_degenerate_newton_step_leaves_the_start_point(self, beta):
+        # a non-finite step stops the iteration before its first step; a
+        # zero step runs it out of steps where it started; neither warns
+        cset = ConstraintSet([[0.0, 1.0, 2.0, 3.0, 4.0]], [1.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as exc:
+                solve_maxent(5, cset, (beta, beta), CFG)
+        best = exc.value.best
+        np.testing.assert_array_equal(best.lambdas, [0.0])
+        np.testing.assert_array_equal(best.p, np.full(5, 0.2))
+        assert best.report.final_residual_norm == pytest.approx(0.3, abs=1e-15)
+
+    def test_no_acceptable_step_stops_before_max_iter(self):
+        # escort weight ~ bracket^(beta/d) with beta/d = 0.005: meeting the
+        # target needs a bracket ratio of 9^200, which no float multiplier
+        # reaches.  State 0 sits at its clamp boundary, and once no step of
+        # 60 halvings passes the line search the iteration stops
+        cset = ConstraintSet([[0.0, 1.0]], [0.9])
+        with pytest.raises(ConvergenceError) as exc:
+            solve_maxent(2, cset, (40.0, 0.2), CFG)
+        rep = exc.value.report
+        assert 0 < rep.iterations < CFG.max_iter
+        assert rep.clamped_states == (0,)
+        assert rep.final_residual_norm == pytest.approx(0.1, abs=1e-12)
+
 
 class TestMinXEnt:
     def test_no_constraints_returns_normalized_prior(self):
@@ -319,6 +352,15 @@ class TestMinXEnt:
         sol = solve_minxent([0.5, 0.0, 0.5], cset, (2.0, 1.0), CFG)
         assert residuals(sol, cset, 1.0).max() <= 1e-10
 
+    def test_prior_zero_on_the_diagonal_keeps_zero_probability(self):
+        # exponential branch: p ~ prior * exp(lam * (g - G)), so the zero
+        # prior stays at zero and the other two meet the plain mean
+        cset = ConstraintSet([[0.0, 1.0, 2.0]], [0.8])
+        sol = solve_minxent([0.5, 0.5, 0.0], cset, (1.0, 1.0), CFG)
+        assert sol.branch == "exponential" and sol.report.clamped_states == ()
+        assert sol.p[2] == 0.0
+        np.testing.assert_allclose(sol.p, [0.2, 0.8, 0.0], atol=1e-12)
+
 
 class TestNearDiagonal:
     """Every pair off the diagonal, however close, takes the power-law
@@ -366,7 +408,7 @@ class TestLogWeights:
         )
         with mpmath.workdps(50):
             exact = float(mpmath.log(mpmath.mpf(q) ** 3 + 3 * mpmath.mpf(s)) / 3)
-        assert not clamped[0]
+        assert clamped is None
         assert abs(lw[0] - exact) <= 1e-13 * abs(exact)
 
 
