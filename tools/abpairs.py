@@ -1,6 +1,6 @@
 """Alternating parent/change pairs of the benchmark, written to one file.
 
-    python3 tools/abpairs.py --pr 11 --base HEAD~1 --head HEAD \\
+    python3 tools/abpairs.py --pr N --base HEAD~1 --head HEAD \\
         --run solve:1,2,3:5 --run eval-small:1:3
 
 Both commits are exported with ``git archive`` into one temporary
@@ -41,6 +41,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import machine_metadata  # noqa: E402  (the benchmark's own, as its results record it)
