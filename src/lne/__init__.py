@@ -5,7 +5,7 @@ two-parameter logarithmic norm entropy and its cross-entropy, the
 classical families they generalize (Shannon, Renyi, Tsallis, Kapur,
 norm, Aczel-Daroczy), q-deformed calculus, and constrained MaxEnt /
 minimum-cross-entropy solvers under normalized q-expectation
-constraints, with an independent brute-force oracle for verification.
+constraints.
 """
 
 from .numkit import (
@@ -44,7 +44,6 @@ from .optimize import (
     SolverConfig,
     SolverReport,
     normalized_q_expectation,
-    oracle_maxent,
     solve_maxent,
     solve_minxent,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "majorizes",
     "norm_entropy",
     "normalized_q_expectation",
-    "oracle_maxent",
     "product_compose",
     "q_exp",
     "q_log",

@@ -331,10 +331,9 @@ def cmd_minxent(args):
 
 def cmd_check(args):
     seed = 0 if args.seed is None else args.seed
-    tol = 1e-10 if args.tol is None else args.tol
     lines = []
     try:
-        for name, ok, detail in run_checks(seed=seed, tol=tol):
+        for name, ok, detail in run_checks(seed=seed):
             lines.append(f"{'ok' if ok else 'FAIL'} {name}: {detail}\n")
             if not ok:
                 break
@@ -397,7 +396,6 @@ def _build_parser():
 
     p = sub.add_parser("check", help="run the invariant suite; nonzero exit on first failure")
     p.add_argument("--seed", type=int, help="randomness seed (default 0)")
-    p.add_argument("--tol", type=float, help="solver tolerance used inside checks")
     p.set_defaults(func=cmd_check)
     for p in sub.choices.values():  # every subcommand, as its last option
         p.add_argument("--output", default="-", metavar="FILE|-", help="output target")

@@ -13,13 +13,13 @@ from lne.checks import CHECKS
 @pytest.fixture(scope="session")
 def check_at_seeds():
     """check_at_seeds(name) -> the seed-0 detail of that check, after
-    asserting that it passed at every seed 0-9 (at the CLI's tol)."""
+    asserting that it passed at every seed 0-9."""
     results = {}
 
     def run(name):
         if name not in results:
             check = dict(CHECKS)[name]
-            results[name] = [check(seed, 1e-10) for seed in range(10)]
+            results[name] = [check(seed) for seed in range(10)]
         failed = [(seed, d) for seed, (passed, d) in enumerate(results[name]) if not passed]
         assert not failed, (name, failed)
         return results[name][0][1]

@@ -21,7 +21,6 @@ from lne import (
     lne_min_entropy_limit,
     log_norm,
     normalized_q_expectation,
-    oracle_maxent,
     q_exp,
     q_log,
     renyi,
@@ -31,6 +30,7 @@ from lne import (
 )
 from lne.checks import CHECKS
 from lne.cli import main as cli_main
+from oracle import oracle_maxent
 
 
 def ok(num, text):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lne import EntropyParams, lne
+from lne import EntropyParams, SolverConfig, lne
 from lne.cli import _fmt, binomial_weights, main
 
 
@@ -377,6 +377,7 @@ def _problem(**fields):
         (_problem(prior=[0.5, 0.5]), ["minxent"], "prior: length does not match weights"),
         (None, ["curve", "--alpha", "2", "--beta", "0.5,x"], "not a comma-separated number list"),
         (None, ["surface", "--n", "3", "--p", "0.5", "--alpha", ",", "--beta", "1"], "empty list"),
+        (None, ["check", "--tol", "1e-3"], "unrecognized arguments: --tol"),
     ],
 )
 def test_rejections_exit_two_naming_the_field(tmp_path, capsys, problem, argv, message):
@@ -441,17 +442,15 @@ class TestCheckCommand:
         assert code == code_f == 0 and out_f == ""
         assert target.read_text() == out
 
-    def test_unreachable_tol_fails_the_solver_check(self):
+    def test_unreachable_tol_fails_the_solver_check(self, capsys, monkeypatch):
         # no solve meets a residual of 1e-300: a FAIL line and exit 1, not a traceback
-        proc = subprocess.run(
-            [sys.executable, "-m", "lne.cli", "check", "--tol", "1e-300"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 1
-        last = proc.stdout.strip().splitlines()[-1]
+        strict = SolverConfig(tol_residual=1e-300)
+        monkeypatch.setattr("lne.checks.SolverConfig", lambda: strict)
+        code, out, err = run_cli(capsys, "check")
+        assert code == 1
+        last = out.strip().splitlines()[-1]
         assert last.startswith("FAIL solvers:") and "residual" in last and "alpha=" in last
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in err
 
 
 class TestLogging:

@@ -16,11 +16,11 @@ from lne import (
     lne,
     log_norm,
     normalized_q_expectation,
-    oracle_maxent,
     solve_maxent,
     solve_minxent,
 )
 from lne.optimize import _log_weights, _prior_terms
+from oracle import oracle_maxent
 
 CFG = SolverConfig()
 
@@ -255,8 +255,8 @@ class TestMaxEnt:
         ],
     )
     def test_degenerate_newton_step_leaves_the_start_point(self, beta):
-        # a non-finite step stops the iteration before its first step; a
-        # zero step runs it out of steps where it started; neither warns
+        # a non-finite or a zero step stops the iteration before its first
+        # step, at the start point; neither warns
         cset = ConstraintSet([[0.0, 1.0, 2.0, 3.0, 4.0]], [1.7])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -266,6 +266,7 @@ class TestMaxEnt:
         np.testing.assert_array_equal(best.lambdas, [0.0])
         np.testing.assert_array_equal(best.p, np.full(5, 0.2))
         assert best.report.final_residual_norm == pytest.approx(0.3, abs=1e-15)
+        assert best.report.iterations == 0
 
     def test_no_acceptable_step_stops_before_max_iter(self):
         # escort weight ~ bracket^(beta/d) with beta/d = 0.005: meeting the

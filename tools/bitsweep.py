@@ -22,14 +22,13 @@ with the error of both:
     python3 tools/bitsweep.py --ref --src ../parent/src > old.txt
 
 Only functions and arguments that long-standing checkouts have are
-called; the ``lse`` lines are printed only for checkouts that still
-have ``lne.numkit.lse``, and the other lines keep their numbers
-either way.  Inputs include zero
-entries, tied maxima, maxima one ulp apart, entries down to 1e-320,
-orders from 1e-310 to 1e4, diagonal and near-diagonal order pairs,
-invalid vectors and orders, and a few vectors long enough (up to 1e5)
-that every SIMD vector of an exp pass mixes normal, subnormal-result
-and zero-result lanes.  The CLI runs in process, on problem files
+called.  The retired ``lse`` keeps its draws and its line numbers but
+prints no line, so that sweeps of checkouts before and after its
+removal line up.  Inputs include zero entries, tied maxima, maxima one
+ulp apart, entries down to 1e-320, orders from 1e-310 to 1e4, diagonal
+and near-diagonal order pairs, invalid vectors and orders, and a few
+vectors long enough (up to 1e5) that every SIMD vector of an exp pass
+mixes normal, subnormal-result and zero-result lanes.  The CLI runs in process, on problem files
 written to a temporary directory.  Last come 40 solves with
 |alpha - beta| / beta log-uniform in [1e-12, 1e-8], drawn from a
 generator of their own, so that every line before them keeps its
@@ -281,9 +280,10 @@ def calls(seed, count):
             g = rng.normal(size=np.size(w))
             yield "normalized_q_expectation", optimize.normalized_q_expectation, (w, g, _order(rng))
         elif r < 0.90:
-            # drawn whether or not the checkout has lse, so that every
-            # later line keeps its inputs; main prints no line without it
-            yield "lse", getattr(numkit, "lse", None), (_lse_input(rng),)
+            # the slot of the retired lse: still drawn and numbered, so
+            # that every later line keeps its inputs and its number
+            _lse_input(rng)
+            yield "lse", None, ()
         elif r < 0.95:
             x = rng.normal(size=int(rng.integers(1, 20))) * 10.0 ** rng.uniform(-2, 2)
             q = float(rng.choice([rng.uniform(-3, 3), 1.0, 1.0 + 1e-9, 2.0, 0.5]))
@@ -434,7 +434,7 @@ def main(argv=None):
     if args.ref:
         sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests"))
     for i, (name, fn, fargs) in enumerate(calls(args.seed, args.calls)):
-        if fn is None:
+        if fn is None:  # a retired call
             continue
         out, value = _outcome(fn, fargs)
         line = f"{i} {name} {_input_hash(fargs)} {out}"
