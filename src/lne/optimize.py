@@ -297,7 +297,7 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
         except (ZeroDivisionError, np.linalg.LinAlgError):  # too few unclamped states to span g
             v = np.linalg.lstsq(H, -R, rcond=None)[0]
         vl = v.tolist()
-        if not any(vl) or not all(map(math.isfinite, vl)):  # a zero step leaves the iterate
+        if not any(vl) or not all(map(math.isfinite, vl)):  # a zero step cannot move the iterate
             break
         vd = v @ dg
         if vd[vd.argmax()] < 0.0:
