@@ -4,14 +4,19 @@ Constraints are normalized q-expectations with q = beta,
 
     <<g_r>>_beta = sum_i g_r(i) p_i^beta / sum_i p_i^beta = G_r,
 
-i.e. ordinary means under the beta-escort distribution.  The stationary
-distributions have the bracket forms
+i.e. ordinary means under the beta-escort distribution.  The solvers
+return the stationary points of the bracket forms
 
     maxent   p_i  ~  [1 + (a-b) sum_r l_r (g_r(i) - G_r)]^(1/(a-b)),
     minxent  p_i  ~  [q_i^(a-b) + (a-b) sum_r l_r (g_r(i) - G_r)]^(1/(a-b)),
 
 collapsing at a == b to the exponential (Maxwell-Boltzmann-Gibbs) forms
-p_i ~ exp(sum_r l_r (g_r(i) - G_r)) and q_i * exp(...).
+p_i ~ exp(sum_r l_r (g_r(i) - G_r)) and q_i * exp(...).  The minxent point
+minimizes `lnce` only on the diagonal or against a uniform prior: at b = 1,
+q = (0.6, 0.3, 0.1), g = (0, 1, 2), G = 0.9 and a = 2 its p has `lnce`
+0.3809; the feasible minimum is 0.3042.  A zero-prior state takes p_i = 0,
+the q_i -> 0 limit of the bracket for a <= b and the only point in the
+domain of `lnce` for a > b, so minxent solves on the prior's support.
 
 Both branches are the minimizers of one convex potential, the Legendre
 dual of the escort constraints (Tsallis, Mendes & Plastino, Physica A
@@ -30,9 +35,10 @@ a < b the potential is +inf there, so no state ever clamps.
 The multipliers are found by Newton's method on G from l = 0 with
 halving backtracks under an Armijo test on log G (Boyd & Vandenberghe,
 Convex Optimization, ch. 9).  Targets outside the reachable set are
-certified and raise `InfeasibleError`: either every state clamps, or a
-Newton direction v has dg_i . v < 0 for every state, along which log G
-falls without bound.  Solves are deterministic given their inputs.
+certified and raise `InfeasibleError`: a target is outside its utility's
+range on the prior's support, or every state clamps, or a Newton
+direction v has dg_i . v < 0 for every state, along which log G falls
+without bound.  Solves are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -189,9 +195,9 @@ def normalized_q_expectation(w, g, q) -> float:
 
 
 def _check_setup(n, constraints, params, cfg):
-    n = int(n)
-    if n < 1:
+    if not (math.isfinite(n) and n == int(n) >= 1):  # also 2.7, which int() would truncate
         raise ValueError("n must be a positive integer")
+    n = int(n)
     cset = _EMPTY if constraints is None else constraints
     if not isinstance(cset, ConstraintSet):
         raise TypeError("constraints must be a ConstraintSet or None")
@@ -200,32 +206,19 @@ def _check_setup(n, constraints, params, cfg):
     return n, cset, _as_params(params), cfg or _DEFAULT_CONFIG
 
 
-def _prior_terms(prior, d):
-    """(lw0, prior^-d, zero): what `_log_weights` needs of the prior, for
-    one solve.  lw0 is log prior with 0 at zero priors, and zero marks the
-    zero priors, or is None if there are none.  All are None without a prior."""
-    if prior is None:
-        return None, None, None
-    zero = None if _min(prior) > 0.0 else prior == 0
-    lw0 = np.log(prior if zero is None else np.where(zero, 1.0, prior))
-    return lw0, np.exp(-d * lw0), zero
-
-
 def _log_weights(lam, dg, d, terms):
     """Log of the unnormalized stationary weights at multipliers ``lam``,
     log(bracket) / d, or the exponent of the exponential branch (d = 0).
-    ``terms`` is `_prior_terms(prior, d)`.
+    ``terms`` is (log prior, prior^-d) of a positive prior, or two Nones.
 
     Returns (logw, clamped) where clamped marks states whose bracket is
     nonpositive (logw = -inf, zero probability), and is None if none is.
     """
-    lw0, scale, zero = terms
+    lw0, scale = terms
     s = lam @ dg
     if d == 0.0:  # equal orders: exponential branch, where nothing clamps
         if lw0 is not None:
             s += lw0
-        if zero is not None:
-            s[zero] = -np.inf
         return s, None
     # rel = bracket / prior^d - 1 (bracket - 1 without a prior, exact as
     # d -> 0): forming prior^d + d*s instead cancels when the bracket is
@@ -234,9 +227,7 @@ def _log_weights(lam, dg, d, terms):
     if scale is not None:
         rel *= scale
     clamped = None
-    if zero is not None or not rel[rel.argmin()] > -1.0:  # a clamp, or a nan
-        # a zero prior (alpha > beta only) has scale 1: the bare bracket d*s
-        b = None if zero is None else rel[zero]
+    if not rel[rel.argmin()] > -1.0:  # a clamp, or a nan
         clamped = rel <= -1.0
         rel[clamped] = 0.0
     lw = np.log1p(rel, out=rel)
@@ -246,13 +237,10 @@ def _log_weights(lam, dg, d, terms):
     if clamped is None:
         return lw, None
     lw[clamped] = -np.inf
-    if zero is not None:
-        clamped[zero] = b <= 0.0
-        lw[zero] = np.where(b > 0.0, np.log(np.where(b > 0.0, b, 1.0)) / d, -np.inf)
     return lw, clamped if clamped.any() else None
 
 
-def _solve_lagrange(cset, params, cfg, d, terms, branch):
+def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
     """Newton's method with backtracking on the potential log G."""
     alpha, beta = params.alpha, params.beta
     dg = cset.g - cset.targets[:, None]
@@ -330,9 +318,12 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch):
         # residual is that of the returned p, not of the iterate
         res_norm = float(np.max(np.abs(dg @ _escort(p, beta))))
     converged = res_norm <= cfg.tol_residual
+    states = [] if clamped is None else np.flatnonzero(clamped).tolist()
+    if keep is not None:  # cut down to the prior's support: p back onto all states
+        on = np.flatnonzero(keep)
+        p, states = np.bincount(on, p, keep.size), on[states].tolist()
     report = SolverReport(
-        iterations, res_norm, converged, restarts_used=0,
-        clamped_states=() if clamped is None else tuple(np.flatnonzero(clamped).tolist()),
+        iterations, res_norm, converged, restarts_used=0, clamped_states=tuple(states)
     )
     z = math.exp(log_z) if log_z <= _LOG_FLOAT_MAX else math.inf
     sol = MaxEntSolution(p=p, lambdas=lam, Z=z, branch=branch, report=report)
@@ -349,18 +340,24 @@ def _solve(prior, n, constraints, params, cfg):
     n, cset, params, cfg = _check_setup(n, constraints, params, cfg)
     # the diagonal is the d -> 0 limit of the bracket: the exponential branch
     d = params.alpha - params.beta
-    if d < 0 and prior is not None and _min(prior) == 0.0:
-        raise ValueError(
-            f"prior is zero on states {np.flatnonzero(prior == 0).tolist()}: the bracket "
-            "form needs prior^(alpha-beta) with alpha < beta"
-        )
     branch = "exponential" if d == 0.0 else "power_law"
     if cset.m == 0:
         w = np.ones(n) if prior is None else prior
         z = float(w.sum())
         report = SolverReport(iterations=0, final_residual_norm=0.0, converged=True, restarts_used=0)
         return MaxEntSolution(p=w / z, lambdas=np.empty(0), Z=z, branch=branch, report=report)
-    return _solve_lagrange(cset, params, cfg, d, _prior_terms(prior, d), branch)
+    keep = None if prior is None or _min(prior) > 0.0 else prior > 0.0
+    if keep is not None:  # a zero-prior state takes p = 0: solve on the prior's support
+        g, t = cset.g[:, keep], cset.targets
+        for r, (lo, hi) in enumerate(zip(g.min(axis=1).tolist(), g.max(axis=1).tolist())):
+            if not (lo < t[r] < hi or lo == t[r] == hi):  # ConstraintSet rejects the latter
+                raise InfeasibleError(
+                    f"target {r} = {t[r]} outside the open range ({lo}, {hi}) of g_{r} on "
+                    f"the prior's support {np.flatnonzero(keep).tolist()}")
+        prior, cset = prior[keep], ConstraintSet(g, t)
+    lw0 = None if prior is None else np.log(prior)
+    terms = lw0, None if lw0 is None else np.exp(-d * lw0)
+    return _solve_lagrange(cset, params, cfg, d, terms, branch, keep)
 
 
 def solve_maxent(n, constraints, params, cfg=None) -> MaxEntSolution:
@@ -374,8 +371,11 @@ def solve_maxent(n, constraints, params, cfg=None) -> MaxEntSolution:
 
 
 def solve_minxent(prior, constraints, params, cfg=None) -> MaxEntSolution:
-    """Distribution minimizing the logarithmic norm cross-entropy against
-    ``prior`` subject to the normalized beta-expectation constraints.
+    """Stationary point of the minxent bracket against ``prior`` subject to
+    the normalized beta-expectation constraints.  It minimizes `lnce` only
+    on the diagonal or against a uniform prior (see the module docstring).
+    A zero-prior state takes p = 0, and a target outside the open range of
+    its utility on the prior's support raises `InfeasibleError`.
 
     With no constraints returns the normalized prior; with a uniform
     prior coincides with `solve_maxent` under the same constraints.

@@ -273,6 +273,31 @@ class TestSolverCommands:
         code, _, err = run_cli(capsys, "maxent", "--input", path)
         assert code == 4 and "outside" in err
 
+    def test_zero_prior_below_the_diagonal_prints_zero(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            weights=[1, 1, 1],
+            prior=[0.5, 0, 0.5],
+            params={"alpha": 1, "beta": 2},
+            constraints=[{"g": [0, 1, 2], "G": 1.2}],
+        )
+        code, out, _ = run_cli(capsys, "minxent", "--input", path)
+        assert code == 0
+        rec = parse_record(out)
+        assert rec["p"].split()[1] == "0.00000000000"
+        assert rec["converged"] == "true"
+
+    def test_target_outside_the_support_exit_four(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            weights=[1, 1, 1],
+            prior=[0.5, 0.5, 0],
+            params={"alpha": 2, "beta": 1},
+            constraints=[{"g": [0, 1, 2], "G": 1.2}],
+        )
+        code, out, err = run_cli(capsys, "minxent", "--input", path)
+        assert code == 4 and "prior's support" in err and out == ""
+
     def test_jointly_infeasible_exit_four(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

@@ -19,7 +19,8 @@ from lne import (
     solve_maxent,
     solve_minxent,
 )
-from lne.optimize import _log_weights, _prior_terms
+from lne.crossent import lnce
+from lne.optimize import _log_weights
 from oracle import oracle_maxent
 
 CFG = SolverConfig()
@@ -74,6 +75,14 @@ class TestConstraintValidation:
             ConstraintSet([[0.0, 1.0]], [0.4, 0.5])
         with pytest.raises(ValueError):
             solve_maxent(3, ConstraintSet([[0.0, 1.0]], [0.4]), (2.0, 1.0), CFG)
+
+    def test_n_must_be_a_positive_integer(self):
+        # int() would truncate 2.7 to 2 and solve a smaller problem
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            solve_maxent(2.7, None, (2.0, 1.0), CFG)
+        for n in (3, 3.0, np.int64(3)):
+            sol = solve_maxent(n, None, (2.0, 1.0), CFG)
+            np.testing.assert_array_equal(sol.p, np.full(3, 1 / 3))
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
@@ -346,12 +355,16 @@ class TestMinXEnt:
         np.testing.assert_allclose(sol.p, p_star, rtol=0.0, atol=1e-9)
 
     def test_prior_zero_rejected_when_alpha_below_beta(self):
+        # no longer rejected: a zero-prior state takes p = 0 exactly, on either
+        # side of the diagonal.  The support {0, 2} has two states, so the
+        # constraint alone fixes the beta-escort at (0.4, 0.6)
         cset = ConstraintSet([[0.0, 1.0, 2.0]], [1.2])
-        with pytest.raises(ValueError, match="prior is zero"):
-            solve_minxent([0.5, 0.0, 0.5], cset, (1.0, 2.0), CFG)
-        # alpha > beta tolerates prior zeros
-        sol = solve_minxent([0.5, 0.0, 0.5], cset, (2.0, 1.0), CFG)
-        assert residuals(sol, cset, 1.0).max() <= 1e-10
+        for alpha, beta in ((1.0, 2.0), (2.0, 1.0)):
+            sol = solve_minxent([0.5, 0.0, 0.5], cset, (alpha, beta), CFG)
+            assert sol.p[1] == 0.0 and sol.report.clamped_states == ()
+            p = np.array([0.4, 0.0, 0.6]) ** (1 / beta)
+            np.testing.assert_allclose(sol.p, p / p.sum(), rtol=0.0, atol=1e-12)
+            assert residuals(sol, cset, beta).max() <= 1e-10
 
     def test_prior_zero_on_the_diagonal_keeps_zero_probability(self):
         # exponential branch: p ~ prior * exp(lam * (g - G)), so the zero
@@ -361,6 +374,54 @@ class TestMinXEnt:
         assert sol.branch == "exponential" and sol.report.clamped_states == ()
         assert sol.p[2] == 0.0
         np.testing.assert_allclose(sol.p, [0.2, 0.8, 0.0], atol=1e-12)
+
+
+class TestZeroPrior:
+    """A zero-prior state takes p = 0: the solve runs on the prior's support
+    and puts p back on all states."""
+
+    @pytest.mark.parametrize("orders", [(2.0, 1.0), (3.0, 0.5), (1.0, 2.0), (1.0, 1.0)])
+    def test_target_outside_the_support_range_is_infeasible(self, orders):
+        # g is (0, 1) on the support, so 1.2 is unreachable in every branch
+        cset = ConstraintSet([[0.0, 1.0, 2.0]], [1.2])
+        with pytest.raises(InfeasibleError, match=r"prior's support \[0, 1\]"):
+            solve_minxent([0.5, 0.5, 0.0], cset, orders, CFG)
+
+    def test_alpha_above_beta_stays_in_the_domain_of_lnce(self):
+        prior = [0.3, 0.0, 0.7]
+        sol = solve_minxent(prior, ConstraintSet([[0.0, 1.0, 2.0]], [1.2]), (2.0, 1.0), CFG)
+        assert sol.p[1] == 0.0
+        np.testing.assert_allclose(sol.p, [0.4, 0.0, 0.6], rtol=0.0, atol=1e-12)
+        assert math.isfinite(float(lnce(sol.p, prior, (2.0, 1.0))))
+
+    def test_reports_use_the_callers_state_numbers(self):
+        prior = [0.2, 0.3, 0.0, 0.5]
+        cset = ConstraintSet([[0.0, 1.0, 5.0, 3.0]], [0.5])
+        sol = solve_minxent(prior, cset, (4.0, 0.5), CFG)
+        assert sol.report.clamped_states == (1,) and sol.p[2] == 0.0
+        assert residuals(sol, cset, 0.5).max() <= 1e-10
+        with pytest.raises(ConvergenceError) as info:
+            solve_minxent(prior, cset, (4.0, 0.5), SolverConfig(max_iter=1))
+        best = info.value.best
+        assert best.p.shape == (4,) and best.p[2] == 0.0
+        assert best.report.clamped_states == (1, 3)
+
+    def test_row_constant_on_the_support(self):
+        prior = [0.5, 0.5, 0.0, 0.0]
+        with pytest.raises(DegenerateConstraintError):
+            solve_minxent(prior, ConstraintSet([[1.0, 1.0, 0.0, 2.0]], [1.0]), (2.0, 1.0), CFG)
+        with pytest.raises(InfeasibleError, match="support"):
+            solve_minxent(prior, ConstraintSet([[1.0, 1.0, 0.0, 2.0]], [1.5]), (2.0, 1.0), CFG)
+
+    def test_positive_prior_keeps_its_bits(self):
+        # the support path is taken only when the prior has a zero
+        prior = np.array([0.2, 0.3, 0.5])
+        cset = ConstraintSet([[0.0, 1.0, 2.0]], [1.1])
+        a = solve_minxent(prior, cset, (2.5, 1.2), CFG)
+        cset4 = ConstraintSet([[0.0, 1.0, 2.0, 7.0]], [1.1])
+        b = solve_minxent(np.append(prior, 0.0), cset4, (2.5, 1.2), CFG)
+        assert a.p.tobytes() == b.p[:3].tobytes() and b.p[3] == 0.0
+        assert a.lambdas.tobytes() == b.lambdas.tobytes()
 
 
 class TestNearDiagonal:
@@ -404,9 +465,8 @@ class TestLogWeights:
 
         q, d = 0.03, 3.0
         s = -0.99 * q**d / d
-        lw, clamped = _log_weights(
-            np.array([1.0]), np.array([[s]]), d, _prior_terms(np.array([q]), d)
-        )
+        lw0 = np.log([q])
+        lw, clamped = _log_weights(np.array([1.0]), np.array([[s]]), d, (lw0, np.exp(-d * lw0)))
         with mpmath.workdps(50):
             exact = float(mpmath.log(mpmath.mpf(q) ** 3 + 3 * mpmath.mpf(s)) / 3)
         assert clamped is None
