@@ -414,7 +414,7 @@ class TestZeroPrior:
             solve_minxent(prior, ConstraintSet([[1.0, 1.0, 0.0, 2.0]], [1.5]), (2.0, 1.0), CFG)
 
     def test_positive_prior_keeps_its_bits(self):
-        # the support path is taken only when the prior has a zero
+        # a zero-prior state is cut off before the solve, so the rest keeps its bits
         prior = np.array([0.2, 0.3, 0.5])
         cset = ConstraintSet([[0.0, 1.0, 2.0]], [1.1])
         a = solve_minxent(prior, cset, (2.5, 1.2), CFG)
