@@ -330,10 +330,11 @@ def cmd_minxent(args):
 
 
 def cmd_check(args):
-    seed = 0 if args.seed is None else args.seed
+    if args.seed < 0:  # random.Random would seed with |seed|
+        raise ProblemError(f"--seed: expected a non-negative integer, got {args.seed}")
     lines = []
     try:
-        for name, ok, detail in run_checks(seed=seed):
+        for name, ok, detail in run_checks(seed=args.seed):
             lines.append(f"{'ok' if ok else 'FAIL'} {name}: {detail}\n")
             if not ok:
                 break
@@ -395,7 +396,7 @@ def _build_parser():
         p.set_defaults(func=cmd_maxent if name == "maxent" else cmd_minxent)
 
     p = sub.add_parser("check", help="run the invariant suite; nonzero exit on first failure")
-    p.add_argument("--seed", type=int, help="randomness seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="non-negative randomness seed (default 0)")
     p.set_defaults(func=cmd_check)
     for p in sub.choices.values():  # every subcommand, as its last option
         p.add_argument("--output", default="-", metavar="FILE|-", help="output target")

@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lne import EntropyParams, SolverConfig, lne
+from lne import EntropyParams, SolverConfig, lne, solve_maxent
+from lne.checks import check_solvers
 from lne.cli import _fmt, binomial_weights, main
 
 
@@ -213,6 +215,17 @@ class TestImports:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_check_run_pulls_in_no_numpy_random(self):
+        code = (
+            "import sys, lne.cli; "
+            "code = lne.cli.main(['check']); "
+            "print(code, 'numpy.random' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == "0 False"
+
 
 class TestSolverCommands:
     def test_unconstrained_maxent(self, tmp_path, capsys):
@@ -403,6 +416,7 @@ def _problem(**fields):
         (None, ["curve", "--alpha", "2", "--beta", "0.5,x"], "not a comma-separated number list"),
         (None, ["surface", "--n", "3", "--p", "0.5", "--alpha", ",", "--beta", "1"], "empty list"),
         (None, ["check", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+        (None, ["check", "--seed", "-1"], "--seed: expected a non-negative integer"),
     ],
 )
 def test_rejections_exit_two_naming_the_field(tmp_path, capsys, problem, argv, message):
@@ -476,6 +490,17 @@ class TestCheckCommand:
         last = out.strip().splitlines()[-1]
         assert last.startswith("FAIL solvers:") and "residual" in last and "alpha=" in last
         assert "Traceback" not in err
+
+    def test_solver_check_fails_multipliers_that_are_not_the_mbg_exponent(self, monkeypatch):
+        # halved multipliers leave log p affine in lambda . g, but not equal to it plus a constant
+        def halved_on_diagonal(n, cset, prm, cfg):
+            sol = solve_maxent(n, cset, prm, cfg)
+            return replace(sol, lambdas=sol.lambdas / 2) if prm.equal_orders else sol
+
+        monkeypatch.setattr("lne.checks.solve_maxent", halved_on_diagonal)
+        ok, detail = check_solvers(0)
+        assert not ok
+        assert detail.startswith("log p - lambda . g not constant") and "alpha=1" in detail
 
 
 class TestLogging:
