@@ -70,11 +70,11 @@ def _fmt(v) -> str:
         return "0.00000000000"
     if not math.isfinite(v):
         return str(v)
-    exp = math.floor(math.log10(abs(v)))
-    dec = 11 - exp
+    sci = f"{v:.11e}"
+    dec = 11 - int(sci[sci.index("e") + 1 :])  # the exponent after rounding
     if 0 <= dec <= 17:
         return f"{v:.{dec}f}"
-    return f"{v:.11e}"
+    return sci
 
 
 def _err(msg):
@@ -85,8 +85,11 @@ def _write(text, output):
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ProblemError(f"--output: cannot write {output}: {e.strerror}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,10 @@ def _write(text, output):
 def _number(x, field):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ProblemError(f"{field}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ProblemError(f"{field}: integer too large for a float") from None
 
 
 def _number_list(x, field):

@@ -4,23 +4,24 @@ Constraints are normalized q-expectations with q = beta,
 
     <<g_r>>_beta = sum_i g_r(i) p_i^beta / sum_i p_i^beta = G_r,
 
-i.e. ordinary means under the beta-escort distribution.  The solvers
-return the stationary points of the bracket forms
+i.e. ordinary means under the beta-escort distribution.  With d = a - b
+and s_i = sum_r l_r (g_r(i) - G_r), the solvers return the stationary points
 
-    maxent   p_i  ~  [1 + (a-b) sum_r l_r (g_r(i) - G_r)]^(1/(a-b)),
-    minxent  p_i  ~  [q_i^(a-b) + (a-b) sum_r l_r (g_r(i) - G_r)]^(1/(a-b)),
+    maxent   p_i  ~  exp_q(s_i),
+    minxent  p_i  ~  q_i exp_q(q_i^(-d) s_i)  =  [q_i^d + d s_i]_+^(1/d),
 
-collapsing at a == b to the exponential (Maxwell-Boltzmann-Gibbs) forms
-p_i ~ exp(sum_r l_r (g_r(i) - G_r)) and q_i * exp(...).  The minxent point
-minimizes `lnce` only on the diagonal or against a uniform prior: at b = 1,
-q = (0.6, 0.3, 0.1), g = (0, 1, 2), G = 0.9 and a = 2 its p has `lnce`
+where exp_q(s) = [1 + d s]_+^(1/d) is the q-exponential of `lne.qdeform`
+with 1 - q = d (an index, not the prior q_i), on the diagonal the
+Maxwell-Boltzmann-Gibbs exponential exp(s).  The minxent point minimizes
+`lnce` only on the diagonal or against a uniform prior: at b = 1, q =
+(0.6, 0.3, 0.1), g = (0, 1, 2), G = 0.9 and a = 2 its p has `lnce`
 0.3809; the feasible minimum is 0.3042.  A zero-prior state takes p_i = 0,
 the q_i -> 0 limit of the bracket for a <= b and the only point in the
 domain of `lnce` for a > b, so minxent solves on the prior's support.
 
 Both branches are the minimizers of one convex potential, the Legendre
 dual of the escort constraints (Tsallis, Mendes & Plastino, Physica A
-261, 1998): with d = a - b and bracket_i(l) as above,
+261, 1998): with bracket_i(l) = 1 + d s_i, or q_i^d + d s_i against a prior,
 
     G(l) = sum_i bracket_i(l)_+^(a/d),     log G = a m + L(a),
 
@@ -29,8 +30,8 @@ Its gradient is a * (sum_i p_i^b / sum_i p_i^a) times the escort
 residual R_r(l) = <<g_r>>_beta(p(l)) - G_r, and its Newton system is
 b * sum_i (e_i / bracket_i) dg_i dg_i^T v = -R over the beta-escort e.
 For a > b a state whose bracket goes nonpositive is clamped to zero
-probability, mirroring the q-exponential cutoff, and reported; for
-a < b the potential is +inf there, so no state ever clamps.
+probability, the cutoff of exp_q, and reported; for a < b the potential
+is +inf there, so no state ever clamps.
 
 The multipliers are found by Newton's method on G from l = 0 with
 halving backtracks under an Armijo test on log G (Boyd & Vandenberghe,
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import _LOG_FLOAT_MAX, _as_params, _check_order, _escort, _LogSupport, _min, as_weights
+from .qdeform import _log_q_exp
 
 __all__ = [
     "InfeasibleError",
@@ -207,37 +209,27 @@ def _check_setup(n, constraints, params, cfg):
 
 
 def _log_weights(lam, dg, d, terms):
-    """Log of the unnormalized stationary weights at multipliers ``lam``,
-    log(bracket) / d, or the exponent of the exponential branch (d = 0).
-    ``terms`` is (log prior, prior^-d) of a positive prior, or two Nones.
+    """Log of the unnormalized stationary weights at multipliers ``lam``:
+    log exp_q(s) with 1 - q = d and s = lam . dg (times prior^-d against a
+    prior), s itself on the diagonal (d = 0), plus log prior.  ``terms``
+    is (log prior, prior^-d) of a positive prior, or two Nones.
 
-    Returns (logw, clamped) where clamped marks states whose bracket is
-    nonpositive (logw = -inf, zero probability), and is None if none is.
+    Returns (logw, clamped) where clamped marks states cut off by exp_q
+    (logw = -inf, zero probability), and is None if none is.
     """
     lw0, scale = terms
-    s = lam @ dg
-    if d == 0.0:  # equal orders: exponential branch, where nothing clamps
-        if lw0 is not None:
-            s += lw0
-        return s, None
-    # rel = bracket / prior^d - 1 (bracket - 1 without a prior, exact as
-    # d -> 0): forming prior^d + d*s instead cancels when the bracket is
-    # small next to prior^d
-    rel = np.multiply(s, d, out=s)
-    if scale is not None:
-        rel *= scale
+    lw = lam @ dg
     clamped = None
-    if not rel[rel.argmin()] > -1.0:  # a clamp, or a nan
-        clamped = rel <= -1.0
-        rel[clamped] = 0.0
-    lw = np.log1p(rel, out=rel)
-    lw /= d
+    if d != 0.0:  # off the diagonal, where exp_q cuts off
+        # d*s = bracket / prior^d - 1, exact as d -> 0: forming prior^d + d*s
+        # instead cancels when the bracket is small next to prior^d
+        lw *= d
+        if scale is not None:
+            lw *= scale
+        clamped = _log_q_exp(lw, d)
     if lw0 is not None:
         lw += lw0
-    if clamped is None:
-        return lw, None
-    lw[clamped] = -np.inf
-    return lw, clamped if clamped.any() else None
+    return lw, clamped
 
 
 def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):

@@ -51,6 +51,25 @@ def q_log(x, q):
     return float(out) if np.isscalar(x) else out
 
 
+def _log_q_exp(cx, c):
+    """Overwrite ``cx = c * x`` (c = 1 - q, nonzero) by log exp_q(x) =
+    log1p(cx) / c, and -inf where the bracket 1 + cx is <= 0: the cutoff.
+
+    Returns a mask of the cut entries, or None if there are none.  A nan
+    stays nan and is not cut.
+    """
+    cut = None
+    if cx.size and not cx[cx.argmin()] > -1.0:  # a cutoff, or a nan
+        cut = cx <= -1.0
+        cx[cut] = 0.0
+    np.log1p(cx, out=cx)
+    cx /= c
+    if cut is None or not cut.any():
+        return None
+    cx[cut] = -np.inf
+    return cut
+
+
 def q_exp(x, q):
     """Deformed exponential exp_q(x), with the cutoff at a negative bracket.
 
@@ -67,18 +86,12 @@ def q_exp(x, q):
         raise ValueError("q_exp requires finite x")
     if q == 1.0:
         out = np.exp(arr)
-        return float(out) if np.isscalar(x) else out
-
-    c = 1.0 - q
-    cx = c * arr.reshape(-1)
-    bracket = 1.0 + cx
-    if not bracket.size or _min(bracket) > 0:
-        out = np.exp(np.log1p(cx) / c)
     else:
-        if c < 0 and np.any(bracket == 0.0):
+        c = 1.0 - q
+        flat = arr.reshape(-1)
+        out = c * flat
+        cut = _log_q_exp(out, c)
+        if c < 0 and cut is not None and np.any(c * flat[cut] == -1.0):
             raise ValueError("q_exp pole: bracket is exactly 0 with q > 1")
-        out = np.zeros_like(cx)
-        pos = bracket > 0
-        out[pos] = np.exp(np.log1p(cx[pos]) / c)
-    out = out.reshape(arr.shape)
+        out = np.exp(out, out=out).reshape(arr.shape)
     return float(out) if np.isscalar(x) else out

@@ -417,6 +417,9 @@ def _problem(**fields):
         (None, ["surface", "--n", "3", "--p", "0.5", "--alpha", ",", "--beta", "1"], "empty list"),
         (None, ["check", "--tol", "1e-3"], "unrecognized arguments: --tol"),
         (None, ["check", "--seed", "-1"], "--seed: expected a non-negative integer"),
+        (_problem(weights=[10**400, 1, 1]), ["entropy"], "weights[0]: integer too large for a float"),
+        (_problem(), ["entropy", "--output", "/nonexistent/dir/out.txt"], "--output: cannot write"),
+        (None, ["check", "--output", "/nonexistent/dir/out.txt"], "--output: cannot write"),
     ],
 )
 def test_rejections_exit_two_naming_the_field(tmp_path, capsys, problem, argv, message):
@@ -427,6 +430,27 @@ def test_rejections_exit_two_naming_the_field(tmp_path, capsys, problem, argv, m
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (1.5, "1.50000000000"),
+        (123456789012.4, "123456789012"),
+        (-2.5e-7, "-2.50000000000e-07"),
+        # rounding carries into the next decade: still 12 significant digits
+        (999999.9999999, "1000000.00000"),
+        (0.99999999999999, "1.00000000000"),
+        (9.9999999999999e-06, "0.0000100000000000"),
+        (999999999999.7, "1.00000000000e+12"),
+        (-0.0, "0.00000000000"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+    ],
+)
+def test_fmt_prints_twelve_significant_digits(value, text):
+    assert _fmt(value) == text
 
 
 class TestDeterminismAndRoundTrip:
@@ -492,15 +516,26 @@ class TestCheckCommand:
         assert "Traceback" not in err
 
     def test_solver_check_fails_multipliers_that_are_not_the_mbg_exponent(self, monkeypatch):
-        # halved multipliers leave log p affine in lambda . g, but not equal to it plus a constant
-        def halved_on_diagonal(n, cset, prm, cfg):
-            sol = solve_maxent(n, cset, prm, cfg)
-            return replace(sol, lambdas=sol.lambdas / 2) if prm.equal_orders else sol
+        # halved multipliers leave log p affine in lambda . g, but not equal to
+        # log exp_q(lambda . (g - G)) plus a constant
+        def halved_at(pick):
+            def solve(n, cset, prm, cfg):
+                sol = solve_maxent(n, cset, prm, cfg)
+                return replace(sol, lambdas=sol.lambdas / 2) if pick(prm) else sol
 
-        monkeypatch.setattr("lne.checks.solve_maxent", halved_on_diagonal)
+            return solve
+
+        law = "log p - log exp_q(lambda . (g - G)) not constant"
+        monkeypatch.setattr("lne.checks.solve_maxent", halved_at(lambda prm: prm.equal_orders))
         ok, detail = check_solvers(0)
         assert not ok
-        assert detail.startswith("log p - lambda . g not constant") and "alpha=1" in detail
+        assert detail.startswith(law) and "alpha=1" in detail
+        # off the diagonal, where the law is a power law, each pair alone
+        for off in (EntropyParams(2.0, 1.0), EntropyParams(0.5, 2.0)):
+            monkeypatch.setattr("lne.checks.solve_maxent", halved_at(lambda prm: prm == off))
+            ok, detail = check_solvers(0)
+            assert not ok
+            assert detail == f"{law} at {off}"
 
 
 class TestLogging:

@@ -13,6 +13,13 @@ from lne import (
 )
 
 
+def test_value_repr_names_orders_and_prior_mass():
+    assert repr(lnce([0.5, 0.5], [0.25, 0.75], (2.0, 1.0))) == (
+        "CrossEntropyValue(0.2876820724517809, params=EntropyParams(alpha=2.0, beta=1.0), "
+        "prior_mass=1.0)"
+    )
+
+
 def random_probability(rng, n):
     w = rng.uniform(0.05, 1.0, size=n)
     return w / w.sum()

@@ -26,6 +26,13 @@ def random_weights(rng, n, mass=None):
     return w / w.sum() * (mass if mass is not None else rng.uniform(0.2, 1.0))
 
 
+def test_value_repr_names_family_and_orders():
+    assert repr(lne([0.5, 0.5], (2.0, 1.0))) == (
+        "EntropyValue(0.6931471805599453, family='lne', params=(2.0, 1.0))"
+    )
+    assert repr(shannon([1.0])) == "EntropyValue(0.0, family='shannon', params=())"
+
+
 class TestShannon:
     def test_degenerate(self):
         assert shannon([1.0, 0.0]) == 0.0
@@ -65,6 +72,11 @@ class TestRenyi:
 
 
 class TestTsallis:
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_order(self, q):
+        with pytest.raises(ValueError, match=r"^q must be finite"):
+            tsallis([0.5, 0.5], q)
+
     def test_degenerate(self):
         for q in (0.5, 2.0, 3.0):
             assert float(tsallis([1.0, 0.0], q)) == pytest.approx(0.0, abs=1e-15)

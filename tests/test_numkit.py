@@ -399,6 +399,17 @@ class TestProductCompose:
             assert abs(lhs - rhs) <= 1e-10
 
 
+class TestMajorizes:
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError, match="majorization requires equal lengths"):
+            majorizes([0.6, 0.4], [0.5, 0.3, 0.2])
+
+    def test_unequal_totals_do_not_majorize(self):
+        # the prefixes dominate, but the totals differ
+        assert not majorizes([0.6, 0.4], [0.5, 0.4])
+        assert majorizes([0.6, 0.4], [0.5, 0.5])
+
+
 class TestRobinHood:
     def test_full_equalization(self):
         np.testing.assert_allclose(robin_hood_transfer([0.8, 0.2], 0, 1, 0.3), [0.5, 0.5])

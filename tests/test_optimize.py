@@ -16,6 +16,7 @@ from lne import (
     lne,
     log_norm,
     normalized_q_expectation,
+    q_exp,
     solve_maxent,
     solve_minxent,
 )
@@ -53,6 +54,10 @@ class TestNormalizedQExpectation:
         with pytest.raises(ValueError):
             normalized_q_expectation([0.5, 0.5], [0.0, 1.0], 0.0)
 
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"g has shape \(3,\), expected \(2,\)"):
+            normalized_q_expectation([0.5, 0.5], [0.0, 1.0, 2.0], 2.0)
+
 
 class TestConstraintValidation:
     def test_constant_g_distinct_error(self):
@@ -69,6 +74,21 @@ class TestConstraintValidation:
         # the expectation index is always the solve's beta: no field to set
         with pytest.raises(TypeError, match="q_index"):
             ConstraintSet([[0.0, 1.0]], [0.4], q_index=1.0)
+
+    def test_rejects_three_dimensional_g(self):
+        with pytest.raises(ValueError, match="g must be a list of m utility vectors"):
+            ConstraintSet([[[0.0, 1.0]]], [0.4])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="g contains non-finite entries"):
+            ConstraintSet([[0.0, bad, 1.0]], [0.4])
+        with pytest.raises(ValueError, match="targets contain non-finite entries"):
+            ConstraintSet([[0.0, 1.0]], [bad])
+
+    def test_constraints_of_the_wrong_type(self):
+        with pytest.raises(TypeError, match="constraints must be a ConstraintSet or None"):
+            solve_maxent(2, ([[0.0, 1.0]], [0.4]), (2.0, 1.0), CFG)
 
     def test_shape_mismatches(self):
         with pytest.raises(ValueError):
@@ -469,6 +489,28 @@ class TestLogWeights:
             exact = float(mpmath.log(mpmath.mpf(q) ** 3 + 3 * mpmath.mpf(s)) / 3)
         assert clamped is None
         assert abs(lw[0] - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize(
+        "lam, d, cut",
+        [
+            ([0.5], 2.0, [0]),  # state 0 at the cutoff's edge, bracket exactly 0
+            ([0.6], 2.0, [0]),  # state 0 past it
+            ([0.6], -0.5, []),
+            ([0.3, -0.2], 0.5, []),
+            ([0.3, -0.2], -1.5, [3]),  # where the solver's potential is +inf
+        ],
+    )
+    def test_maxent_weights_are_the_q_exponential(self, lam, d, cut):
+        # p ~ exp_q(lam . dg) with 1 - q = d: the solver's weights and q_exp
+        # share one cutoff
+        lam = np.array(lam)
+        dg = np.array([[-1.0, 0.0, 1.0, 2.0], [0.5, -0.5, 1.5, -1.0]])[: lam.size]
+        lw, clamped = _log_weights(lam, dg, d, (None, None))
+        law = q_exp(lam @ dg, 1.0 - d)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(lw, np.log(law), rtol=1e-14, atol=1e-15)
+        assert np.flatnonzero(lw == -np.inf).tolist() == cut
+        assert (clamped is None) if not cut else np.flatnonzero(clamped).tolist() == cut
 
 
 class TestOracle:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lne import q_exp, q_log
+from lne.qdeform import _log_q_exp
 
 
 def test_qlog_fixed_points():
@@ -142,3 +143,21 @@ def test_shapes_and_empty_input():
         for q in (0.5, 1.0, 2.0):
             out = f(np.array([]), q)
             assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+def test_nonfinite_q_message(q):
+    for f in (q_log, q_exp):
+        with pytest.raises(ValueError, match=r"^q must be finite"):
+            f([0.5, 2.0], q)
+
+
+def test_log_kernel_cuts_once_and_keeps_nan():
+    # the cutoff of exp_q: -inf and a mask where 1 + cx <= 0; nan is not cut
+    cx = np.array([0.5, -1.0, -2.0, np.nan])
+    cut = _log_q_exp(cx, 2.0)
+    assert cut.tolist() == [False, True, True, False]
+    assert cx[0] == np.log1p(0.5) / 2.0 and cx[1] == cx[2] == -np.inf and np.isnan(cx[3])
+    cx = np.array([0.5, np.nan])
+    assert _log_q_exp(cx, -0.5) is None and np.isnan(cx[1])
+    assert _log_q_exp(np.array([]), 0.5) is None
