@@ -4,8 +4,7 @@ import sys
 
 import numpy as np
 
-from lne import ConstraintSet, solve_maxent, solve_minxent
-from lne import optimize
+from lne import ConstraintSet, optimize, solve_maxent, solve_minxent
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,6 +20,7 @@ def test_bitsweep_smoke():
     assert proc.returncode == 0, proc.stderr
     names = {line.split(" ")[1] for line in proc.stdout.splitlines()}
     assert {"q_exp", "lne", "lnce", "solve_maxent", "solve_minxent", "cli"} <= names
+
 
 def test_solves_evaluate_the_potential_through_the_module_attribute(monkeypatch):
     # tools/abpairs.py --l3-seeds counts potential evaluations by replacing
