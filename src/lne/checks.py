@@ -14,9 +14,9 @@ import random
 
 import numpy as np
 
-from .numkit import EntropyParams, escort, product_compose
+from .numkit import EntropyParams, escort, log_norm, product_compose
 from .qdeform import q_exp, q_log
-from .entropy import lne, renyi, shannon
+from .entropy import gm_subadditivity_rhs, lne, renyi, shannon
 from .crossent import lnce
 from .optimize import ConstraintSet, ConvergenceError, SolverConfig, solve_maxent, solve_minxent
 
@@ -116,7 +116,14 @@ def check_composition(seed):
             return False, "appending a zero state moved the entropy"
         if abs(lne(p[rng.sample(range(p.size), p.size)], prm) - base) > 1e-12:
             return False, "permuting the states moved the entropy"
-    return True, "extensivity and expandability hold"
+        # grouping: lne(p + q) = lne of the blocks' beta-norms + gm_subadditivity_rhs
+        c = rng.uniform(0.2, 1.0) / (p.sum() + q.sum())
+        whole = lne(np.concatenate([c * p, c * q]), prm)
+        blocks = lne([1.0, math.exp(log_norm(q, prm.beta) - log_norm(p, prm.beta))], prm)
+        gap = abs(whole - blocks - gm_subadditivity_rhs(c * p, c * q, prm))
+        if gap > 1e-12 * (1.0 + whole) or not blocks > 0.0:
+            return False, f"grouping gap {gap:.3e} at {prm}"
+    return True, "extensivity, expandability and grouping hold"
 
 
 def check_qdeform(seed):
@@ -162,18 +169,24 @@ def check_cross_entropy(seed):
         alpha = rng.uniform(0.1, 4.0)
         if abs(alpha - 1.0) < 1e-6:
             alpha = 2.0
-        ce = lnce(p, q, EntropyParams(alpha, 1.0))
-        div = math.log(float(np.sum(p**alpha * q ** (1.0 - alpha)))) / (alpha - 1.0)
-        if abs(ce - div) > 1e-10:
-            return False, f"beta=1 reduction gap {abs(ce - div):.3e}"
-        prm = EntropyParams(alpha, rng.uniform(0.1, 4.0))
-        # against the uniform prior of the same mass W: beta log(n / W) - E(p)
+        beta = rng.uniform(0.1, 4.0)
+        while abs(alpha / beta - 1.0) < 1e-3:
+            beta = rng.uniform(0.1, 4.0)
+        # escort form CE = D_t(P_b || Q_b) - b log||Q||_b, D_t the Renyi divergence, t = a/b
+        for prm in (EntropyParams(alpha, 1.0), EntropyParams(alpha, beta)):
+            t = alpha / prm.beta
+            mix = np.sum(escort(p, prm.beta) ** t * escort(q, prm.beta) ** (1.0 - t))
+            div = math.log(float(mix)) / (t - 1.0) - prm.beta * log_norm(q, prm.beta)
+            gap = abs(lnce(p, q, prm) - div)
+            if gap > 1e-10:
+                return False, f"escort-form gap {gap:.3e} at {prm}"
+        # against the uniform prior of mass W, at the drawn beta: beta log(n / W) - E(p)
         mass = 1.0 if rng.random() < 0.5 else rng.uniform(0.2, 0.9)
         lhs = lnce(mass * p, np.full(n, mass / n), prm)
         rhs = prm.beta * math.log(n / mass) - lne(p, prm)
         if abs(lhs - rhs) > 1e-9:
             return False, f"uniform-prior identity gap {abs(lhs - rhs):.3e}"
-    return True, "beta=1 reduction and uniform-prior identity hold"
+    return True, "escort form and uniform-prior identity hold"
 
 
 def check_solvers(seed):

@@ -117,14 +117,16 @@ _SOLVER_FIELDS = ("tol_residual", "max_iter")
 def load_problem(path):
     """Parse and validate a problem file into plain Python values."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ProblemError(f"cannot read {path}: {e}") from e
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ProblemError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # e.g. an integer literal past the int-to-str digit limit
+        raise ProblemError(f"{path}: {e}") from e
     if not isinstance(data, dict):
         raise ProblemError("problem file must be a JSON object")
     known = {"weights", "params", "constraints", "prior", "solver"}

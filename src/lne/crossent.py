@@ -7,10 +7,11 @@ For weight vectors P, Q of equal length and equal total mass W,
     CE_{b,b}(P, Q) = b * sum_i p_i^b log(p_i/q_i) / sum_i p_i^b
                      - b * log||P||_b.
 
-The family is scale invariant in P, reduces to the Renyi directed
-divergence of order a on probability vectors at b = 1, and against the
-uniform prior satisfies CE(P, U) = b log(n/W) - E_{a,b}(P), which makes
-its constrained minimizer the MaxEnt distribution (see `lne.optimize`).
+The family is scale invariant in P and has the escort form CE(P, Q) =
+D_{a/b}(P_b || Q_b) - b log||Q||_b (b-escorts, Renyi divergence D), the
+Renyi directed divergence of order a at b = 1 on probabilities; against
+the uniform prior CE(P, U) = b log(n/W) - E_{a,b}(P), so its constrained
+minimizer is the MaxEnt distribution (see `lne.optimize`).
 
 Support convention: states with p_i = 0 never contribute; p_i > 0 with
 q_i = 0 is a domain error whenever q_i carries a negative exponent
@@ -152,7 +153,9 @@ def _lnce(sup, q, prm) -> float:
 
 def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
     """Relative (beta, alpha)-entropy recovered from the cross-entropy via
-    CE_{a,b}(P, Q) = a RE_{b,a}(P, Q) + b log||Q||_b."""
+    CE_{a,b}(P, Q) = a RE_{b,a}(P, Q) + b log||Q||_b.  By the escort form
+    RE = (D_{a/b}(P_b || Q_b) - 2b log||Q||_b) / a: RE(P, P) is nonzero
+    unless log||P||_b = 0."""
     prm = _as_params(params)
     sup_p, sup_q = _LogSupport(p, "p"), _LogSupport(q, "q")
     _check_pair(sup_p.w, sup_q.w, require_equal_mass)

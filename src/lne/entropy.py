@@ -199,10 +199,12 @@ def gm_subadditivity_rhs(p, q, params) -> float:
         g^{-1}[ (||p||_b^a g(E(p)) + ||q||_b^a g(E(q)))
                 / (||p||_b^a + ||q||_b^a) ],
 
-    with link g(x) = 2^{(1-a/b) x / log 2} = exp((1-a/b) x).  Compare
-    against lne(concatenate(p, q)); the comparison direction is
-    established empirically in the test suite.  The a == b case
-    degenerates to equality through a linear link and is rejected.
+    with link g(x) = 2^{(1-a/b) x / log 2} = exp((1-a/b) x).  It is the
+    remainder of the grouping identity lne(concatenate(p, q)) =
+    lne([||p||_b, ||q||_b]) + this value, so the slack is the blocks'
+    entropy, positive on both sides of the diagonal.  At a == b, where the
+    link is constant and the case is rejected, the identity is Shannon's
+    grouping rule H(u) + sum_k u_k E(block_k), u the b-escort block masses.
 
     With lr = 1 - a/b, e the softmax of a log||.||_b and E' = e . E, the
     value is E' + log1p(e . expm1(lr (E - E'))) / lr: the mean carries

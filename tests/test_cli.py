@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lne import EntropyParams, SolverConfig, lne, solve_maxent
-from lne.checks import check_solvers
+from lne import EntropyParams, SolverConfig, gm_subadditivity_rhs, lnce, lne, solve_maxent
+from lne.checks import check_composition, check_cross_entropy, check_solvers
 from lne.cli import _fmt, binomial_weights, main
 
 
@@ -433,6 +433,23 @@ def test_rejections_exit_two_naming_the_field(tmp_path, capsys, problem, argv, m
 
 
 @pytest.mark.parametrize(
+    "raw, message",
+    [
+        # json.loads refuses an integer literal of more than 4,300 digits
+        (b'{"weights": [' + b"9" * 5000 + b", 1, 1]}", "Exceeds the limit (4300 digits)"),
+        (b'\xff{"weights": [1]}', "codec can't decode byte 0xff"),
+    ],
+    ids=["long_integer", "non_utf8_byte"],
+)
+def test_undecodable_file_exits_two_naming_the_file(tmp_path, capsys, raw, message):
+    path = tmp_path / "prob.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "entropy", "--input", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}: " in err and message in err
+
+
+@pytest.mark.parametrize(
     "value, text",
     [
         (1.5, "1.50000000000"),
@@ -536,6 +553,29 @@ class TestCheckCommand:
             ok, detail = check_solvers(0)
             assert not ok
             assert detail == f"{law} at {off}"
+
+    def test_composition_check_fails_a_shifted_generalized_mean(self, monkeypatch):
+        # the grouping identity holds to 1e-12, so rhs (1 + 1e-9) breaks it
+        def shifted(p, q, prm):
+            return gm_subadditivity_rhs(p, q, prm) * (1.0 + 1e-9)
+
+        monkeypatch.setattr("lne.checks.gm_subadditivity_rhs", shifted)
+        for seed in range(10):
+            ok, detail = check_composition(seed)
+            assert not ok and detail.startswith("grouping gap"), seed
+
+    def test_cross_entropy_check_fails_a_shifted_value_off_beta_one(self, monkeypatch):
+        # neither the beta = 1 reduction nor the uniform-prior identity sees
+        # lnce + 1e-6 at beta != 1 against a non-uniform prior; the escort form does
+        def shifted(p, q, prm):
+            value = lnce(p, q, prm)
+            return value + 1e-6 if prm.beta != 1.0 and np.ptp(q) > 0 else value
+
+        monkeypatch.setattr("lne.checks.lnce", shifted)
+        for seed in range(10):
+            ok, detail = check_cross_entropy(seed)
+            assert not ok and detail.startswith("escort-form gap"), seed
+            assert "beta=1.0)" not in detail
 
 
 class TestLogging:

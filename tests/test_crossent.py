@@ -7,6 +7,7 @@ import pytest
 from lne import (
     EntropyParams,
     SupportError,
+    escort,
     lnce,
     log_norm,
     relative_entropy_bridge,
@@ -49,8 +50,9 @@ class TestLnce:
         assert v.prior_mass == pytest.approx(1.0)
         assert v.params.alpha == 2.0
 
-    # the uniform-prior identity (mass 1 and W < 1) and the beta = 1
-    # reduction are stated in lne.checks; these read its run at seeds 0-9
+    # the uniform-prior identity (mass 1 and W < 1) and the escort form,
+    # whose beta = 1 case is the Renyi directed divergence, are stated in
+    # lne.checks; these read its run at seeds 0-9
     def test_uniform_prior_identity(self, check_at_seeds):
         check_at_seeds("cross_entropy")
 
@@ -163,14 +165,23 @@ class TestRelativeEntropyBridge:
             assert R.rel_err(re, R.relative_entropy_bridge(p, q, *prm)) <= 1e-13, prm
 
     def test_empirical_nonnegativity_observed(self):
-        # nonnegativity of the bridged relative entropy is not proved in
-        # the source material; record what the draws show without
-        # asserting it as an invariant
+        # by the escort form of lnce, RE = (D_{a/b}(P_b || Q_b) - 2b log||Q||_b) / a
+        # with D the Renyi divergence, so RE(P, P) = -2b log||P||_b / a takes
+        # either sign and is 0 only where log||P||_b = 0
+        p = np.array([0.5, 0.3, 0.2])
+        assert relative_entropy_bridge(p, p, (2.0, 0.5)) == pytest.approx(-0.53183, abs=5e-6)
+        assert relative_entropy_bridge(p, p, (1.5, 3.0)) == pytest.approx(2.44344, abs=5e-6)
         rng = np.random.default_rng(35)
-        worst = math.inf
         for _ in range(200):
             n = int(rng.integers(2, 7))
             p, q = random_probability(rng, n), random_probability(rng, n)
-            prm = EntropyParams(*rng.uniform(0.2, 3.0, size=2))
-            worst = min(worst, relative_entropy_bridge(p, q, prm))
-        print(f"[diagnostic] min bridged relative entropy over 200 draws: {worst:.3e}")
+            alpha, beta = rng.uniform(0.2, 3.0, size=2)
+            t = alpha / beta
+            if abs(t - 1.0) < 1e-3:  # the divergence divides by t - 1
+                continue
+            mix = np.sum(escort(p, beta) ** t * escort(q, beta) ** (1.0 - t))
+            want = (math.log(mix) / (t - 1.0) - 2.0 * beta * log_norm(q, beta)) / alpha
+            got = relative_entropy_bridge(p, q, (alpha, beta))
+            assert abs(got - want) <= 1e-12 * abs(want)
+            at_p = -2.0 * beta * log_norm(p, beta) / alpha
+            assert abs(relative_entropy_bridge(p, p, (alpha, beta)) - at_p) <= 1e-12 * abs(at_p)

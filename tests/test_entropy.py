@@ -215,8 +215,8 @@ class TestLNE:
         v = lne([0.5, 0.5], EntropyParams(2.0, 1.0))
         assert v.family == "lne" and v.params == (2.0, 1.0)
 
-    # scale invariance, the escort identity, extensivity and expandability
-    # are stated in lne.checks; these read its run at seeds 0-9
+    # scale invariance, the escort identity, extensivity, expandability and
+    # grouping are stated in lne.checks; these read its run at seeds 0-9
     def test_scale_invariance(self, check_at_seeds):
         check_at_seeds("scale_invariance")
 
@@ -311,45 +311,29 @@ class TestLNE:
 
 
 class TestGeneralizedMeanBound:
+    # lne(p + q) = lne([||p||_b, ||q||_b]) + rhs: the slack is the entropy
+    # of the two blocks' norms (the composition check's grouping clause)
     def test_equal_uniform_halves(self):
         p = [0.25, 0.25]
         rhs = gm_subadditivity_rhs(p, p, (1.0, 2.0))
         assert rhs == pytest.approx(math.log(2), abs=1e-12)
         lhs = float(lne([0.25] * 4, (1.0, 2.0)))
-        assert lhs == pytest.approx(math.log(4), abs=1e-12)
-        # alpha < beta: the printed sub-additivity direction would demand
-        # lhs <= rhs; the evaluated sides go the other way
-        assert lhs >= rhs - 1e-12
+        assert lhs - rhs == pytest.approx(math.log(2), abs=1e-12)
 
     def test_single_state_halves(self):
         lhs = float(lne([0.5, 0.5], (2.0, 1.0)))
         rhs = gm_subadditivity_rhs([0.5], [0.5], (2.0, 1.0))
         assert rhs == pytest.approx(0.0, abs=1e-12)
-        assert lhs >= rhs - 1e-12
+        assert lhs - rhs == pytest.approx(math.log(2), abs=1e-12)
 
     def test_degenerate_padding(self):
         w, v = 0.4, 0.3
         lhs = float(lne([w, 0.0, v, 0.0], (2.0, 1.0)))
         rhs = gm_subadditivity_rhs([w, 0.0], [v, 0.0], (2.0, 1.0))
-        assert lhs >= rhs - 1e-12
+        assert lhs - rhs == pytest.approx(float(lne([w, v], (2.0, 1.0))), abs=1e-12)
 
-    def test_direction_probe(self):
-        # confirm the inequality direction empirically on both sides of
-        # the diagonal before the acceptance suite asserts it wholesale
-        rng = np.random.default_rng(24)
-        flipped = 0
-        for _ in range(200):
-            p = random_weights(rng, rng.integers(1, 5), mass=rng.uniform(0.1, 0.6))
-            q = random_weights(rng, rng.integers(1, 5), mass=rng.uniform(0.05, 0.4))
-            a, b = rng.uniform(0.1, 4.0, size=2)
-            if abs(a - b) < 1e-3:
-                continue
-            lhs = float(lne(np.concatenate([p, q]), (a, b)))
-            rhs = gm_subadditivity_rhs(p, q, (a, b))
-            assert lhs >= rhs - 1e-12
-            if a < b and lhs > rhs + 1e-12:
-                flipped += 1
-        assert flipped > 0  # the printed alpha < beta direction is reversed
+    def test_direction_probe(self, check_at_seeds):
+        check_at_seeds("composition")
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
