@@ -318,6 +318,7 @@ class TestGeneralizedMeanBound:
         rhs = gm_subadditivity_rhs(p, p, (1.0, 2.0))
         assert rhs == pytest.approx(math.log(2), abs=1e-12)
         lhs = float(lne([0.25] * 4, (1.0, 2.0)))
+        assert lhs == pytest.approx(math.log(4), abs=1e-12)
         assert lhs - rhs == pytest.approx(math.log(2), abs=1e-12)
 
     def test_single_state_halves(self):
