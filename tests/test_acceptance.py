@@ -15,17 +15,11 @@ from lne import (
     ConstraintSet,
     EntropyParams,
     SolverConfig,
-    escort,
     lne,
-    lne_min_entropy_limit,
-    log_norm,
     normalized_q_expectation,
     q_exp,
     q_log,
-    renyi,
-    robin_hood_transfer,
     solve_maxent,
-    solve_minxent,
 )
 from lne.checks import CHECKS
 from lne.cli import main as cli_main
@@ -36,17 +30,11 @@ def ok(num, text):
     print(f"PASS criterion {num}: {text}")
 
 
-def random_weights(rng, n, mass=None):
-    w = rng.uniform(0.02, 1.0, size=n)
-    return w / w.sum() * (mass if mass is not None else rng.uniform(0.2, 1.0))
-
-
 @pytest.mark.parametrize("name", [name for name, _ in CHECKS])
 def test_check_at_seeds_0_to_9(name, check_at_seeds):
-    # scale invariance, the escort identity, the extremes, extensivity,
-    # expandability and grouping, the q-calculus identities and the
-    # cross-entropy's escort form are stated once, in lne.checks; ten
-    # seeds are their whole draw
+    # the invariants README lists, from scale invariance to the MaxEnt law
+    # and uniform-prior duality, are stated once, in lne.checks; ten seeds
+    # are their whole draw
     detail = check_at_seeds(name)
     print(f"PASS check {name} at seeds 0-9 (seed 0: {detail})")
 
@@ -84,16 +72,8 @@ def test_criterion_04_theorem2_suite():
     ok(4, f"branching violated by {violation:.4f} at the pinned tuple")
 
 
-def test_criterion_05_order_limits():
-    rng = np.random.default_rng(105)
-    for _ in range(100):
-        n = int(rng.integers(2, 8))
-        w = rng.uniform(0.05, 1.0, size=n)
-        beta = rng.uniform(0.2, 2.5)
-        assert abs(float(lne(w, (1e-6, beta))) - math.log(n)) <= 1e-4
-        tail = beta * (-math.log(w.max()) + log_norm(w, beta))
-        assert abs(float(lne(w, (1e4, beta))) - tail) <= 1e-3
-        assert abs(float(lne_min_entropy_limit(w, beta)) - tail) <= 1e-12
+def test_criterion_05_order_limits(check_at_seeds):
+    check_at_seeds("extremes")
     ok(5, "alpha -> 0 and alpha -> infinity limits on 100 random P")
 
 
@@ -102,21 +82,8 @@ def test_criterion_06_generalized_mean_direction(check_at_seeds):
     ok(6, "lne(p + q) = lne of the blocks' beta-norms + the generalized mean, on 500 draws")
 
 
-def test_criterion_07_schur_concavity_transfers():
-    rng = np.random.default_rng(107)
-    done = 0
-    while done < 500:
-        w = random_weights(rng, rng.integers(2, 8))
-        beta = rng.uniform(0.2, 3.0)
-        b_vec = escort(w, beta)  # a point of the escort simplex
-        i, j = int(np.argmax(b_vec)), int(np.argmin(b_vec))
-        if b_vec[i] - b_vec[j] <= 1e-9:
-            continue
-        amt = rng.uniform(0.05, 1.0) * (b_vec[i] - b_vec[j]) / 2
-        a_vec = robin_hood_transfer(b_vec, i, j, amt)
-        order = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-        assert float(renyi(a_vec, order)) >= float(renyi(b_vec, order)) - 1e-12
-        done += 1
+def test_criterion_07_schur_concavity_transfers(check_at_seeds):
+    check_at_seeds("escort_identity")
     ok(7, "500 Robin Hood transfers never decreased the escort Renyi value")
 
 
@@ -178,43 +145,14 @@ def test_criterion_09_solver_vs_oracle():
     ok(9, "100 random instances: residuals, oracle entropy and coordinates")
 
 
-def test_criterion_10_mbg_branch():
-    rng = np.random.default_rng(110)
-    for b in (0.5, 1.0, 2.0):
-        n = int(rng.integers(3, 6))
-        g = spread_utility(rng, n)
-        target = float(g.mean() + rng.uniform(-0.1, 0.1))
-        cset = ConstraintSet([g], [target])
-        diag = solve_maxent(n, cset, (b, b), SolverConfig())
-        assert diag.branch == "exponential"
-        assert np.ptp(np.log(diag.p) - diag.lambdas @ cset.g) <= 1e-10
-        near = solve_maxent(n, cset, (b + 1e-6, b), SolverConfig())
-        assert near.branch == "power_law"
-        assert np.max(np.abs(near.p - diag.p)) <= 1e-4
+def test_criterion_10_mbg_branch(check_at_seeds):
+    check_at_seeds("solvers")
     ok(10, "exact MBG exponent to 1e-10 and power branch limit <= 1e-4")
 
 
-def test_criterion_11_minxent_duality():
-    rng = np.random.default_rng(111)
-    cfg = SolverConfig()
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(1, 3)) if n > 2 else 1
-        prm = EntropyParams(*rng.uniform(0.3, 3.0, size=2))
-        seedp = rng.uniform(0.1, 1.0, size=n)
-        rows, targets = [], []
-        for _ in range(m):
-            g = spread_utility(rng, n)
-            rows.append(g)
-            targets.append(normalized_q_expectation(seedp, g, prm.beta))
-        try:
-            cset = ConstraintSet(rows, targets)
-        except ValueError:
-            continue
-        maxent = solve_maxent(n, cset, prm, cfg)
-        minxent = solve_minxent(np.full(n, 1.0 / n), cset, prm, cfg)
-        assert np.max(np.abs(maxent.p - minxent.p)) <= 1e-8
-    ok(11, "uniform-prior minimum cross-entropy equals MaxEnt on 50 instances")
+def test_criterion_11_minxent_duality(check_at_seeds):
+    check_at_seeds("solvers")
+    ok(11, "uniform-prior minimum cross-entropy equals MaxEnt on 130 problems")
 
 
 ALPHAS_FIG1 = [0.1, 0.5, 1.0, 2.0, 10.0, 100.0]

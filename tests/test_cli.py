@@ -7,8 +7,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lne import EntropyParams, SolverConfig, gm_subadditivity_rhs, lnce, lne, solve_maxent
-from lne.checks import check_composition, check_cross_entropy, check_solvers
+from lne import (
+    EntropyParams,
+    SolverConfig,
+    gm_subadditivity_rhs,
+    lnce,
+    lne,
+    lne_min_entropy_limit,
+    solve_maxent,
+    solve_minxent,
+)
+from lne.checks import (
+    check_composition,
+    check_cross_entropy,
+    check_escort_identity,
+    check_extremes,
+    check_solvers,
+)
 from lne.cli import _fmt, binomial_weights, main
 
 
@@ -576,6 +591,53 @@ class TestCheckCommand:
             ok, detail = check_cross_entropy(seed)
             assert not ok and detail.startswith("escort-form gap"), seed
             assert "beta=1.0)" not in detail
+
+    def test_solver_check_fails_a_shifted_minxent_with_two_constraints(self, monkeypatch):
+        # duality is checked on random problems, some with two constraints
+        def shifted(prior, cset, prm, cfg):
+            sol = solve_minxent(prior, cset, prm, cfg)
+            return replace(sol, p=sol.p + 1e-7) if cset.m == 2 else sol
+
+        monkeypatch.setattr("lne.checks.solve_minxent", shifted)
+        for seed in range(10):
+            ok, detail = check_solvers(seed)
+            assert not ok and detail.startswith("uniform-prior duality gap"), seed
+
+    def test_solver_check_fails_mass_past_the_cutoff(self, monkeypatch):
+        # every seed solves a problem that clamps state 0, where exp_q is 0
+        def leaky(n, cset, prm, cfg):
+            sol = solve_maxent(n, cset, prm, cfg)
+            return replace(sol, p=np.where(sol.p == 0.0, 1e-300, sol.p))
+
+        monkeypatch.setattr("lne.checks.solve_maxent", leaky)
+        for seed in range(10):
+            ok, detail = check_solvers(seed)
+            assert not ok
+            assert detail == f"p = 0 off the exp_q cutoff at {EntropyParams(3.0, 1.0)}", seed
+
+    def test_extremes_check_fails_a_shifted_min_entropy_limit(self, monkeypatch):
+        def shifted(w, beta):
+            return lne_min_entropy_limit(w, beta) + 1e-11
+
+        monkeypatch.setattr("lne.checks.lne_min_entropy_limit", shifted)
+        for seed in range(10):
+            ok, detail = check_extremes(seed)
+            assert not ok and detail.startswith("lne_min_entropy_limit missed"), seed
+
+    def test_escort_check_fails_a_transfer_from_small_to_large(self, monkeypatch):
+        # the reverse of a Robin Hood transfer (capped to keep the smallest
+        # entry positive) spreads the escort out
+        def reverse(w, src, dst, amount):
+            out = np.array(w, dtype=float)
+            amount = min(amount, out[dst] / 2)
+            out[src] += amount
+            out[dst] -= amount
+            return out
+
+        monkeypatch.setattr("lne.checks.robin_hood_transfer", reverse)
+        for seed in range(10):
+            ok, detail = check_escort_identity(seed)
+            assert not ok and detail.startswith("a transfer lowered"), seed
 
 
 class TestLogging:

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -20,7 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_solver_demo_runs(demo):
     # a fresh interpreter, as a user runs it: the solver demos use
     # SolverConfig and the report fields, which no other test reaches from
-    # outside. bernoulli_curves.py writes a CSV next to itself and is left out
+    # outside
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "demos", demo)],
@@ -30,3 +31,22 @@ def test_solver_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bernoulli_curves_writes_its_grid_beside_itself(tmp_path):
+    # the demo writes its CSV next to itself, so it runs from a copy
+    demos = os.path.join(ROOT, "demos")
+    before = sorted(os.listdir(demos))
+    shutil.copy(os.path.join(demos, "bernoulli_curves.py"), tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "bernoulli_curves.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "bernoulli_curves.csv").read_text().splitlines()
+    assert lines[0] == "alpha,beta,p,value" and len(lines) == 1 + 6 * 5 * 201
+    assert sorted(os.listdir(demos)) == before
