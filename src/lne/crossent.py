@@ -29,11 +29,12 @@ import numpy as np
 from .numkit import (
     TOL_MASS,
     _LOG_FLOAT_MAX,
-    _exp_inplace,
     _as_params,
+    _exp_for_sum,
+    _exp_inplace,
     _LogSupport,
     _min,
-    as_weights,
+    _validate,
 )
 
 __all__ = ["SupportError", "CrossEntropyValue", "lnce", "relative_entropy_bridge"]
@@ -88,31 +89,59 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     """
     prm = _as_params(params)
     sup = _LogSupport(p, "p")
-    q = as_weights(q, "q")
+    q, q_min, _ = _validate(q, "q")
     mass_q = _check_pair(sup.w, q, require_equal_mass)
-    return CrossEntropyValue(_lnce(sup, q, prm), prm, mass_q)
+    return CrossEntropyValue(_lnce(sup, q, q_min, prm), prm, mass_q)
 
 
-def _lnce(sup, q, prm) -> float:
+# Entries per block of `_kept`, which makes no temporary the size of its
+# vector.
+_BLOCK = 1 << 13
+
+
+def _kept(v, keep):
+    """v[keep] a block of v at a time, as pairs (j, b): b holds the kept
+    entries of one block, and j is their offset in v[keep].  Each b is a
+    copy read before the next block is, so writing it to v[j:] as it
+    comes moves v[keep] to the front of v."""
+    j = 0
+    for lo in range(0, v.size, _BLOCK):
+        b = v[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
+        yield j, b
+        j += b.size
+
+
+def _lnce(sup, q, q_min, prm) -> float:
     """`lnce` over the log-support of p and a validated q that passed
-    `_check_pair`.  Consumes the support.
+    `_check_pair`, with q_min = min q.  Consumes the support.
 
-    With y = log p - log q, the beta-escort e of p and d = alpha - beta,
-    CE = beta * S - psi(beta), where S = log(e . exp(d y)) / d is the
-    slope of y's cumulant generating function, and e . y at d = 0.
-    Where no exp(d (y_i - y_j)) can overflow, S is taken as
-    ybar + log1p(e . expm1(d (y - ybar))) / d with ybar = e . y: the
-    mean carries the first-order part of the sum, which would otherwise
-    cancel near the diagonal, so S is as accurate as ybar at any d.
-    Past that range the sum rests on entries far out in y, whose escort
+    With y = log p - m - log q over the states where q > 0, the
+    beta-escort e of p and d = alpha - beta, CE = beta * S - psi(beta),
+    where S = log(e . exp(d y)) / d is the slope of y's cumulant
+    generating function, and e . y at d = 0.  The branch is picked from
+    y alone, before any exp pass.  The escort times its norm is at most 1
+    on each state, so the norm of the kept states is at most y.size, and
+    where |d| range(y) + log(y.size) stays below log(DBL_MAX) their sum
+    of exp(d (y_i - y_j)) cannot overflow.  There S is taken as ybar + log1p(e .
+    expm1(d (y - ybar))) / d with ybar = e . y: the mean carries the
+    first-order part of the sum, which would otherwise cancel near the
+    diagonal, so S is as accurate as ybar at any d.  One exact exp pass
+    in place over x gives both L(beta) and the escort.  Past that range,
+    or where the states dropped for q = 0 carry more of the escort than
+    the kept ones, the sum rests on entries far out in y, whose escort
     weights may underflow, and it is taken in log space, as m + L(1) of
-    the log weights beta x + d y."""
+    the log weights u = beta x + d y formed over y; L(beta) then comes
+    from a sum-only exp pass over beta x (see `_exp_for_sum`)."""
     alpha, beta = prm.alpha, prm.beta
+    d = alpha - beta
     p, x = sup.w, sup.x
     qs = q if x.size == p.size else q[p > 0]  # q on the support of p
-    both = None
     # q is nonnegative, so a minimum of 0 means a zero
-    if _min(qs) == 0:
+    if q_min > 0 or _min(qs) > 0:
+        both = None
+        y = np.log(qs, out=None if qs is q else qs)
+        np.subtract(x, y, out=y)
+    else:
         if alpha >= beta:
             raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
         both = qs > 0
@@ -120,34 +149,51 @@ def _lnce(sup, q, prm) -> float:
             # alpha < beta with disjoint supports: the defining sum is
             # empty and the value diverges; refuse rather than return inf.
             raise SupportError(int(np.flatnonzero(p > 0)[0]))
-    l_beta = sup.log1p_sum(beta)  # psi(beta) = beta * m + l_beta
-    a = sup.a
-    a[sup.i] = 1.0  # a / (1 + s) is the escort now
-    norm, dropped = 1.0 + sup.s, 0.0
-    if both is not None:
         # a zero of q under the positive exponent beta - alpha drops its
         # state from the sum, but not from psi(beta)
-        norm, dropped = float(a[both].sum()), float(a[~both].sum())
-        x, qs, a = x[both], qs[both], None
-    y = np.log(qs, out=a)  # the exp array takes y - m next
-    np.subtract(x, y, out=y)
-    d = alpha - beta
-    # with norm >= dropped, norm >= 1/2: a[i] = 1 is among the two
-    if norm >= dropped and abs(d) * (y[y.argmax()] - _min(y)) + math.log(norm) <= _LOG_FLOAT_MAX:
-        # exp(beta x), the kept escort times norm, over x
+        y = qs[both]
+        np.log(y, out=y)
+        for j, b in _kept(x, both):
+            np.subtract(b, y[j : j + b.size], out=y[j : j + b.size])
+    expm1 = abs(d) * (y[y.argmax()] - _min(y)) + math.log(y.size) <= _LOG_FLOAT_MAX
+    if expm1:
+        # exp(beta x): L(beta), and the kept escort times norm
         a = _exp_inplace(np.multiply(x, beta, out=x), beta * sup.lo)
-        s = float(a @ y) / norm
-        if d != 0.0:
-            y -= s
-            y *= d
-            np.expm1(y, out=y)
-            s += (math.log1p(float(a @ y) / norm) - math.log1p(dropped / norm)) / d
-        return beta * s - l_beta
-    # log(e . exp(d y)) + L(beta), in place over x
+        a[sup.i] = 0.0
+        s = float(a.sum())
+        l_beta = math.log1p(s)  # psi(beta) = beta * m + l_beta
+        a[sup.i] = 1.0
+        norm, dropped = 1.0 + s, 0.0
+        if both is not None:
+            dropped = float(a[~both].sum())
+            for j, b in _kept(a, both):
+                a[j : j + b.size] = b
+            a = a[: y.size]
+            norm = float(a.sum())
+        # with norm >= dropped, norm >= 1/2: a[i] = 1 is among the two
+        if norm >= dropped:
+            s = float(a @ y) / norm
+            if d != 0.0:
+                y -= s
+                y *= d
+                np.expm1(y, out=y)
+                s += (math.log1p(float(a @ y) / norm) - math.log1p(dropped / norm)) / d
+            return beta * s - l_beta
+        # the dropped states carry most of the escort: log space, over x again
+        x = sup._log(out=x)
+    # log(e . exp(d y)) + L(beta), in place over y
+    bx = np.multiply(x, beta, out=x)
     y *= d
-    u = np.multiply(x, beta, out=x)
-    u += y
-    sup_u = _LogSupport.from_log(u)
+    if both is None:
+        y += bx
+    else:
+        for j, b in _kept(bx, both):
+            y[j : j + b.size] += b
+    if not expm1:
+        a = _exp_for_sum(bx, beta * sup.lo)
+        a[sup.i] = 0.0
+        l_beta = math.log1p(float(a.sum()))
+    sup_u = _LogSupport.from_log(y)
     return beta * (sup_u.m + sup_u.log1p_sum(1.0, in_place=True) - l_beta) / d - l_beta
 
 
@@ -159,6 +205,6 @@ def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
     prm = _as_params(params)
     sup_p, sup_q = _LogSupport(p, "p"), _LogSupport(q, "q")
     _check_pair(sup_p.w, sup_q.w, require_equal_mass)
-    ce = _lnce(sup_p, sup_q.w, prm) + 0.0  # as CrossEntropyValue rounds -0.0
+    ce = _lnce(sup_p, sup_q.w, sup_q._lo, prm) + 0.0  # as CrossEntropyValue rounds -0.0
     # b log||Q||_b = psi(b), formed without log||Q||_b, which overflows at tiny b
     return (ce - prm.beta * sup_q.m - sup_q.log1p_sum(prm.beta, in_place=True)) / prm.alpha

@@ -37,8 +37,10 @@ potential is log G = alpha * m + L(alpha) over the log stationary
 weights (see `lne.optimize`), and `lnce` sums in log space past its
 overflow bound.
 
-Every exp of a full-size array goes through `_exp_inplace`, which hands
-numpy's vector exp only arguments whose results are at least 2**-1021.
+An exp of a full-size array whose lanes are read one by one (an
+escort, the dot products of `slope`, the solver's weights, the expm1
+branch of `lnce`) goes through `_exp_inplace`, which hands numpy's
+vector exp only arguments whose results are at least 2**-1021.
 numpy's AVX-512 exp drops a whole SIMD vector to a slow path, about a
 hundred times slower per entry, when any one lane's result is below
 that, and weights with a dynamic range of 1e200 at orders of a few
@@ -46,8 +48,14 @@ units put several percent of the shifted arguments there, scattered
 through the array.  Those arguments are raised to the fast range, and
 their lanes zeroed after the exp; the few whose results are subnormal
 are recomputed by np.exp on their own, and every result keeps the bits
-np.exp gives it.  Vectors of fewer than 2048 entries go to np.exp as
-they are: the slow path costs them less than avoiding it.
+np.exp gives it.  An exp array of which only the sum is read (L in
+place, as `log_norm` and `lne_min_entropy_limit` take it, L at the
+larger order where `slope` takes the plain difference, and L(beta) and
+the log-space sum of `lnce`) goes through `_exp_for_sum`, which
+raises those results to exp(-707), about 2**-1020, and nothing else:
+a sum of n terms moves by less than n * 2**-1019, so a sum >= 1 keeps
+its bits.  Vectors of fewer than 2048 entries go to np.exp as they are
+in both: the slow path costs them less than avoiding it.
 """
 
 from __future__ import annotations
@@ -190,6 +198,23 @@ def _exp_inplace(x, x_min=None) -> np.ndarray:
     return x
 
 
+def _exp_for_sum(x, x_min=None) -> np.ndarray:
+    """Overwrite the float64 vector ``x`` with np.exp(x), for callers
+    that read only its sum.
+
+    On vectors of at least _EXP_SPLIT_MIN_SIZE entries, arguments below
+    _EXP_FAST_MIN are raised to it before the vector exp runs, so their
+    results read exp(_EXP_FAST_MIN), below 2**-1019, instead of np.exp's
+    zero or subnormal: the sum of n results moves by less than
+    n * 2**-1019, which leaves a sum >= 1 unchanged.  Every other lane
+    has np.exp's bits.  ``x_min``, x's minimum or an estimate of it,
+    skips the raise where it is >= _EXP_FAST_MIN.
+    """
+    if x.size >= _EXP_SPLIT_MIN_SIZE and (x_min is None or x_min < _EXP_FAST_MIN):
+        np.maximum(x, _EXP_FAST_MIN, out=x)  # nan stays nan
+    return np.exp(x, out=x)
+
+
 _NORMAL_MIN = 2.0**-1022
 _LOG2 = math.log(2.0)
 # exp overflows float64 above this
@@ -269,9 +294,13 @@ class _LogSupport:
         psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma).  Only the
         maximum at i is left out of the sum: one tying with it adds 1,
         and log1p of a sum >= 1 needs no tie count.  With ``in_place``
-        the exp array overwrites x, so the support cannot be used again."""
-        a = np.multiply(self.x, gamma, out=self.x if in_place else self.a)
-        _exp_inplace(a, gamma * self.lo)
+        the exp array overwrites x, so the support cannot be used again,
+        and only its sum is exact (see `_exp_for_sum`)."""
+        if in_place:
+            a = self.x if gamma == 1.0 else np.multiply(self.x, gamma, out=self.x)
+            _exp_for_sum(a, gamma * self.lo)
+        else:
+            a = _exp_inplace(np.multiply(self.x, gamma, out=self.a), gamma * self.lo)
         a[self.i] = 0.0
         self.a, self.s = a, float(a.sum())
         return math.log1p(self.s)
@@ -309,12 +338,10 @@ class _LogSupport:
             # 2**-53), and |D - mean| <= h |lo| |mean| / 2 is below rounding
             return b, lb, mean
         if h * mean < -_LOG2:
-            # only L(b + h) - L(b) <= -log 2 is kept, so results below
-            # 2**-1021, which add less than n * 2**-1021 to a sum >= 1,
-            # may be raised to it and stay off numpy's slow exp path
-            u = np.multiply(x, max(alpha, beta), out=x)
-            np.maximum(u, _EXP_FAST_MIN, out=u)
-            np.exp(u, out=u)
+            # only L(b + h) - L(b) <= -log 2 is kept, where L(b) >= log 2
+            # absorbs what raised lanes add to L(b + h)
+            g = max(alpha, beta)
+            u = _exp_for_sum(np.multiply(x, g, out=x), g * self.lo)
             u[self.i] = 0.0
             k = math.log1p(float(u.sum())) - lb
             if k <= -_LOG2:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mp_reference as R
 from lne import (
     EntropyParams,
     SupportError,
@@ -12,6 +13,8 @@ from lne import (
     log_norm,
     relative_entropy_bridge,
 )
+
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def test_value_repr_names_orders_and_prior_mass():
@@ -129,6 +132,95 @@ class TestLnce:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             lnce([0.5, 0.5], [0.3, 0.3, 0.4], (2.0, 1.0))
+
+
+class TestLongVectors:
+    """`lnce` on vectors of 4096 entries, on which every exp pass takes
+    the split path, against the mpmath reference at the tolerance of
+    `tests/test_accuracy.py`.  The vectors tile a few distinct values,
+    which keeps the reference cheap.  Each case states which side of the
+    branch rule its input lies on: with y = log(p / q) over the states
+    where q > 0 and k of them, the expm1 sum is taken where
+    |d| range(y) + log(k) <= log(DBL_MAX) and the kept states carry at
+    least half of the beta-escort, and the sum in log space elsewhere."""
+
+    N = 4096
+
+    @classmethod
+    def _tile(cls, values):
+        return np.resize(np.asarray(values, dtype=float), cls.N)
+
+    @classmethod
+    def _pair(cls, p, q):
+        p = cls._tile(p)
+        p /= p.sum()
+        q = cls._tile(q)
+        return p, q * (p.sum() / q.sum())
+
+    @staticmethod
+    def _terms(p, q, a, b):
+        """(|d| range(y), k, kept escort mass, dropped escort mass), the
+        masses in units of the maximum's escort weight."""
+        keep = (p > 0) & (q > 0)
+        y = np.log(p[keep]) - np.log(q[keep])
+        e = (p / p.max()) ** b
+        return abs(a - b) * (y.max() - y.min()), int(keep.sum()), e[keep].sum(), e[(p > 0) & ~keep].sum()
+
+    @staticmethod
+    def _check(p, q, a, b):
+        got = float(lnce(p, q, (a, b)))
+        ref = R.lnce(p, q, a, b)
+        bound = 5e-13 * abs(float(ref)) + 2.0**-50 * float(R.lnce_scale(p, q, a, b))
+        assert abs(got - float(ref)) <= bound, (got, float(ref), a, b)
+
+    def test_expm1_branch(self):
+        # 1e-200 at beta = 6 puts exp arguments below -707
+        p, q = self._pair([1.0, 0.3, 1e-3, 1e-200], [0.2, 0.3, 0.4, 0.1])
+        for a, b in ((5.5, 6.0), (6.0, 5.5), (6.0 * (1 + 1e-9), 6.0), (2.0, 2.0)):
+            spread, k, _, _ = self._terms(p, q, a, b)
+            assert spread + math.log(k) <= LOG_FLOAT_MAX
+            self._check(p, q, a, b)
+
+    def test_log_space_branch(self):
+        p, q = self._pair([1.0, 0.3, 1e-3, 1e-200], [0.2, 0.3, 0.4, 0.1])
+        for a, b in ((0.3, 6.0), (6.0, 0.3), (1.0, 40.0)):
+            assert self._terms(p, q, a, b)[0] > LOG_FLOAT_MAX
+            self._check(p, q, a, b)
+
+    def test_band_between_the_norm_and_the_support_size(self):
+        # one maximum over a bulk of 1e-10: the escort's norm is about 1,
+        # so |d| range(y) + log(norm) fits below log(DBL_MAX) while the
+        # bound by log(k) = log(4096) does not
+        p = np.full(self.N, 1e-10)
+        p[1::2] = 3e-11
+        p[0] = 1.0
+        p /= p.sum()
+        q = self._tile([0.5, 1.0])
+        q *= p.sum() / q.sum()
+        y = np.log(p) - np.log(q)
+        d = (LOG_FLOAT_MAX - 4.0) / (y.max() - y.min())
+        for a, b in ((1.0 + d, 1.0), (40.0 - d, 40.0)):
+            spread, k, norm, _ = self._terms(p, q, a, b)
+            assert spread + math.log(norm) <= LOG_FLOAT_MAX < spread + math.log(k)
+            self._check(p, q, a, b)
+
+    def test_zero_prior_kept_states_carry_the_escort(self):
+        # q = 0 where p = 1e-3: the dropped states carry almost nothing
+        p, q = self._pair([1.0, 0.5, 0.2, 1e-3, 1e-200], [0.3, 0.3, 0.2, 0.0, 0.2])
+        for a, b, log_space in ((2.0, 2.5, False), (0.8, 2.5, True)):
+            spread, k, norm, dropped = self._terms(p, q, a, b)
+            assert norm >= dropped > 0.0
+            assert (spread + math.log(k) > LOG_FLOAT_MAX) == log_space
+            self._check(p, q, a, b)
+
+    def test_zero_prior_dropped_states_carry_the_escort(self):
+        # q = 0 where p is largest, and p = 0 on a quarter of the states:
+        # the expm1 range holds, but the kept escort is below the dropped
+        p, q = self._pair([1.0, 0.1, 0.0, 0.05], [0.0, 0.5, 0.5, 0.2])
+        for a, b in ((0.5, 2.0), (1.9, 2.0)):
+            spread, k, norm, dropped = self._terms(p, q, a, b)
+            assert spread + math.log(k) <= LOG_FLOAT_MAX and norm < dropped
+            self._check(p, q, a, b)
 
 
 class TestRelativeEntropyBridge:

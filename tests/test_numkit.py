@@ -23,7 +23,7 @@ from lne import (
     shannon,
     tsallis,
 )
-from lne.numkit import _exp_inplace, _LogSupport
+from lne.numkit import _EXP_FAST_MIN, _exp_for_sum, _exp_inplace, _LogSupport
 
 import mp_reference as R
 
@@ -79,13 +79,25 @@ class TestEntropyParams:
 
 class TestExpInplace:
     """`_exp_inplace` keeps np.exp's bits while keeping underflowing
-    arguments away from numpy's vector exp."""
+    arguments away from numpy's vector exp; `_exp_for_sum` keeps the
+    bits of every lane it does not raise, and of a sum >= 1."""
 
     @staticmethod
     def _check(x):
         expected = np.exp(x)
         got = _exp_inplace(x.copy())
         assert got.tobytes() == expected.tobytes()
+        fast = x >= _EXP_FAST_MIN
+        for_sum = _exp_for_sum(x.copy())
+        assert for_sum[fast].tobytes() == expected[fast].tobytes()
+        total, got_total = float(got.sum()), float(for_sum.sum())
+        if math.isnan(total):
+            assert math.isnan(got_total)
+        elif total >= 1.0:
+            assert got_total.hex() == total.hex()
+        else:
+            # each raised lane reads exp(-707) < 2**-1019 more
+            assert 0.0 <= got_total - total <= x.size * 2.0**-1019, (total, got_total)
 
     def test_grid_with_mixed_lanes(self):
         grid = np.linspace(-800.0, 1.0, 80_101)
@@ -101,6 +113,9 @@ class TestExpInplace:
         x[1::2] = np.resize(high, m)
         self._check(x)
         self._check(np.array(special))
+        # sums below 1, with and without a nan lane
+        self._check(x - 30.0)
+        self._check(x[np.isfinite(x) | (x == -np.inf)] - 30.0)
 
     def test_seeded_arrays(self):
         for seed in range(10):
@@ -109,6 +124,9 @@ class TestExpInplace:
             x[rng.random(x.size) < 0.01] = -np.inf
             x[rng.random(x.size) < 0.3] *= rng.uniform(0.0, 1e-2)
             self._check(x)
+            # a sum below 1, and one that every raised lane moves
+            self._check(x - 30.0)
+            self._check(x - 720.0)
 
     def test_minimum_estimate_only_picks_the_path(self):
         # an estimate on the wrong side of -707 takes the other path,
@@ -138,12 +156,19 @@ class TestKernelMemory:
             tracemalloc.stop()
 
     def test_peak_is_log_w_plus_one_scratch(self):
-        # gamma = 2 on w >= 0.05: no exp argument underflows
+        # gamma = 2 on w >= 0.05: no exp argument underflows; lnce holds
+        # y = log(p / q) beside x
         rng = np.random.default_rng(23)
         w = rng.uniform(0.05, 1.0, self.N)
         p = w / w.sum()
         q = rng.uniform(0.05, 1.0, self.N)
         q /= q.sum()
+        # lnce far from the diagonal sums in log space; a zero prior
+        # drops states from its sum
+        p_far = 10.0 ** rng.uniform(-200.0, 0.0, self.N)
+        p_far /= p_far.sum()
+        q_zero = np.where(rng.random(self.N) < 0.01, 0.0, q)
+        q_zero /= q_zero.sum()
         calls = {
             "log_norm": lambda: log_norm(w, 2.0),
             "lne": lambda: lne(w, (2.0, 0.5)),
@@ -154,6 +179,9 @@ class TestKernelMemory:
             "aczel_daroczy": lambda: aczel_daroczy(w, 2.0),
             "lnce": lambda: lnce(p, q, (0.5, 2.0)),
             "lnce diagonal": lambda: lnce(p, q, (2.0, 2.0)),
+            "lnce log space": lambda: lnce(p_far, q, (0.3, 6.0)),
+            "lnce zero prior": lambda: lnce(p, q_zero, (0.5, 2.0)),
+            "lnce zero prior log space": lambda: lnce(p_far, q_zero, (0.3, 6.0)),
         }
         for name, call in calls.items():
             peak = self._peak(call) / (8 * self.N)

@@ -7,6 +7,8 @@ import numpy as np
 from lne import ConstraintSet, optimize, solve_maxent, solve_minxent
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+import abpairs  # noqa: E402
 
 
 def test_bitsweep_smoke():
@@ -38,3 +40,26 @@ def test_solves_evaluate_the_potential_through_the_module_attribute(monkeypatch)
     count[0] = 0
     sol = solve_minxent(np.array([0.5, 0.3, 0.2]), cset, (1.0, 1.0))
     assert count[0] > sol.report.iterations >= 1
+
+
+def test_abpairs_flags_pairs_in_two_allocator_states():
+    # eval-large settles at about 76.8 or 82.4 MB: pair 2 compares the two
+    def row(workload, base_rss, head_rss):
+        metrics = {"op_p50_ms": abpairs.summarize([8.0, 8.1, 8.2], [7.9, 10.5, 8.0], "lower"),
+                   "peak_rss_mb": abpairs.summarize(base_rss, head_rss, "lower")}
+        r = {"workload": workload, "seed": 1, "metrics": metrics, "failed": {"base": [0], "head": [0]},
+             "attempted": 14}
+        r["rss_mismatch_pairs"] = abpairs.rss_mismatches(r)
+        return r
+
+    large = row("eval-large", [76.8, 76.9, 82.4], [76.8, 82.4, 84.9])
+    solve = row("solve", [40.0, 40.0, 40.0], [40.0, 50.0, 40.0])
+    assert large["rss_mismatch_pairs"] == [2]
+    assert solve["rss_mismatch_pairs"] == []  # only eval-large has the two states
+    metrics = {name: abpairs.summarize(large["metrics"][name]["base"] * 2, large["metrics"][name]["head"] * 2,
+                                       "lower") for name in large["metrics"]}
+    result = {"runs": [large, solve, dict(large, seed=2)], "pooled": {"eval-large": metrics}, "l3": []}
+    lines = abpairs.summary_lines(result)
+    assert lines[0].endswith("peak_rss_mb sides differ by > 3 MB in pairs [2]")
+    assert "differ" not in lines[1]
+    assert lines[3].endswith("peak_rss_mb sides differ in 2 of 6 pairs")

@@ -15,6 +15,12 @@ change won, and whether the medians differ by more than the distance
 between the base's quartiles; a workload run at several seeds also gets
 those figures over all its pairs ("pooled").
 
+A pair whose two sides' eval-large ``peak_rss_mb`` differ by more than
+3 MB is flagged, in its row of the result (``rss_mismatch_pairs``) and in
+the summary line: on a 2-core host that workload settles in one of two
+glibc heap-trim states, 76.8 or 82.4 MB, whose ``op_p50_ms`` differ by
+25-35 %, so such a pair compares the allocator's states and not the code.
+
 ``--l3-seeds`` adds the solver layer (L3) for those solve-pool seeds:
 every pool entry is solved once in each tree with the solver's private
 ``_log_weights`` wrapped by a counter, which gives Newton steps and
@@ -167,6 +173,49 @@ def summarize(base, head, better):
     }
 
 
+# Largest peak_rss_mb gap between the sides of a pair that still reads
+# one allocator state, by workload.
+RSS_GAP_MB = {"eval-large": 3.0}
+
+
+def rss_mismatches(row):
+    """1-based numbers of the pairs of ``row`` whose two sides'
+    peak_rss_mb differ by more than RSS_GAP_MB of its workload."""
+    gap = RSS_GAP_MB.get(row["workload"])
+    if gap is None:
+        return []
+    rss = row["metrics"]["peak_rss_mb"]
+    return [i + 1 for i, (b, h) in enumerate(zip(rss["base"], rss["head"])) if abs(h - b) > gap]
+
+
+def summary_lines(result):
+    """The printed summary of ``result``: one line per workload and seed,
+    one per pooled workload and one per L3 seed."""
+    lines = []
+    for row in result["runs"]:
+        m = row["metrics"]["op_p50_ms"]
+        line = (f"{row['workload']:10s} seed {row['seed']}: op_p50_ms {m['base_spread']['median']:.4g} -> "
+                f"{m['head_spread']['median']:.4g} ({m['ratio']:.3f}x, {m['wins']}/{m['pairs']} wins), "
+                f"failed {row['failed']['base']} -> {row['failed']['head']} of {row['attempted']}")
+        if row.get("rss_mismatch_pairs"):
+            line += f", peak_rss_mb sides differ by > {RSS_GAP_MB[row['workload']]:g} MB in pairs {row['rss_mismatch_pairs']}"
+        lines.append(line)
+    for workload, metrics in result["pooled"].items():
+        m = metrics["op_p50_ms"]
+        line = (f"{workload:10s} pooled: op_p50_ms {m['ratio']:.3f}x, {m['wins']}/{m['pairs']} wins, "
+                f"beyond the base's quartile distance: {m['beyond_base_iqr']}")
+        if workload in RSS_GAP_MB:
+            flagged = sum(len(r.get("rss_mismatch_pairs", [])) for r in result["runs"] if r["workload"] == workload)
+            line += f", peak_rss_mb sides differ in {flagged} of {m['pairs']} pairs"
+        lines.append(line)
+    for row in result["l3"]:
+        b, h = row["base"], row["head"]
+        lines.append(f"L3 seed {row['seed']}: steps {b['steps_mean']:.3f} -> {h['steps_mean']:.3f}, "
+                     f"evals {b['evals_mean']:.3f} -> {h['evals_mean']:.3f}, "
+                     f"us/step {b['small_step_us_median']:.1f} -> {h['small_step_us_median']:.1f}")
+    return lines
+
+
 def _parse_run(spec):
     try:
         workload, seeds, pairs = spec.split(":")
@@ -226,6 +275,7 @@ def main(argv=None):
                     )
                 row["failed"] = {side: sorted({s[1] for s in samples[side]}) for side in samples}
                 row["attempted"] = samples["base"][0][2]
+                row["rss_mismatch_pairs"] = rss_mismatches(row)
                 result["runs"].append(row)
         for workload in {r["workload"] for r in result["runs"]}:
             rows = [r for r in result["runs"] if r["workload"] == workload]
@@ -245,20 +295,7 @@ def main(argv=None):
     with open(out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
-    for row in result["runs"]:
-        m = row["metrics"]["op_p50_ms"]
-        print(f"{row['workload']:10s} seed {row['seed']}: op_p50_ms {m['base_spread']['median']:.4g} -> "
-              f"{m['head_spread']['median']:.4g} ({m['ratio']:.3f}x, {m['wins']}/{m['pairs']} wins), "
-              f"failed {row['failed']['base']} -> {row['failed']['head']} of {row['attempted']}")
-    for workload, metrics in result["pooled"].items():
-        m = metrics["op_p50_ms"]
-        print(f"{workload:10s} pooled: op_p50_ms {m['ratio']:.3f}x, {m['wins']}/{m['pairs']} wins, "
-              f"beyond the base's quartile distance: {m['beyond_base_iqr']}")
-    for row in result["l3"]:
-        b, h = row["base"], row["head"]
-        print(f"L3 seed {row['seed']}: steps {b['steps_mean']:.3f} -> {h['steps_mean']:.3f}, "
-              f"evals {b['evals_mean']:.3f} -> {h['evals_mean']:.3f}, "
-              f"us/step {b['small_step_us_median']:.1f} -> {h['small_step_us_median']:.1f}")
+    print(*summary_lines(result), sep="\n")
     print(f"wrote {os.path.relpath(out, ROOT)}")
     return 0
 
