@@ -295,7 +295,7 @@ class _LogSupport:
         maximum at i is left out of the sum: one tying with it adds 1,
         and log1p of a sum >= 1 needs no tie count.  With ``in_place``
         the exp array overwrites x, so the support cannot be used again,
-        and only its sum is exact (see `_exp_for_sum`)."""
+        and only its sum may be read (see `_exp_for_sum`)."""
         if in_place:
             a = self.x if gamma == 1.0 else np.multiply(self.x, gamma, out=self.x)
             _exp_for_sum(a, gamma * self.lo)

@@ -248,6 +248,8 @@ def main(argv=None):
         "commits": {s: {"id": c, "subject": _git("log", "-1", "--format=%s", c)} for s, c in commits.items()},
         "seconds": seconds,
         "machine": {k: v for k, v in machine_metadata("solve").items() if k != "git_commit"},
+        # glibc's allocator settings, which the benchmark's workers inherit
+        "malloc_env": {k: v for k, v in os.environ.items() if k.startswith("MALLOC_")},
         "loadavg_before": os.getloadavg(),
         "runs": [],
         "pooled": {},
