@@ -6,13 +6,12 @@ non-constructive premises, reported rather than asserted.
    premise has no closed-form test, so a numerical convexity probe of
    log||.||_alpha gates a convex-combination concavity check.
 2. The conjectured monotone decrease of the entropy in either order.
-3. Convexity of the cross-entropy in its first argument, and the sign
-   of the bridged relative entropy, which its escort form settles.
+3. Convexity of the cross-entropy in its first argument.
 """
 
 import numpy as np
 
-from lne import EntropyParams, lnce, lne, log_norm, relative_entropy_bridge
+from lne import EntropyParams, lnce, lne, log_norm
 
 rng = np.random.default_rng(2026)
 
@@ -65,7 +64,7 @@ for _ in range(300):
 print(f"non-increasing along the alpha grid in {comparisons - violations}/{comparisons} steps "
       f"({violations} violations observed)")
 
-# --- 3. cross-entropy convexity and bridged relative entropy -----------------
+# --- 3. cross-entropy convexity ----------------------------------------------
 print()
 print("=== cross-entropy convexity in P (empirical) ===")
 bad = trials = 0
@@ -82,19 +81,3 @@ for _ in range(400):
     bad += lhs > rhs + 1e-10
 print(f"convex-combination inequality held in {trials - bad}/{trials} draws")
 
-print()
-print("=== sign of the bridged relative entropy ===")
-# the escort form of lnce gives RE = (D_{a/b}(P_b || Q_b) - 2b log||Q||_b) / a,
-# with D the Renyi divergence: RE >= 0 exactly where D >= 2b log||Q||_b
-p = np.array([0.5, 0.3, 0.2])
-for alpha, beta in ((2.0, 0.5), (1.5, 3.0)):
-    re = relative_entropy_bridge(p, p, (alpha, beta))
-    at_p = -2.0 * beta * log_norm(p, beta) / alpha
-    print(f"RE(P, P) at ({alpha}, {beta}) = {re:+.5f}; -2b log||P||_b / a = {at_p:+.5f}")
-negative = 0
-for _ in range(500):
-    n = int(rng.integers(2, 7))
-    p, q = random_prob(n), random_prob(n)
-    prm = EntropyParams(*rng.uniform(0.3, 3.0, size=2))
-    negative += relative_entropy_bridge(p, q, prm) < 0.0
-print(f"negative in {negative}/500 draws; RE(P, P) = 0 only where log||P||_b = 0")

@@ -13,6 +13,12 @@ Renyi directed divergence of order a at b = 1 on probabilities; against
 the uniform prior CE(P, U) = b log(n/W) - E_{a,b}(P), so its constrained
 minimizer is the MaxEnt distribution (see `lne.optimize`).
 
+The divergence takes two calls: lnce(p, q, (a, b)) + b * log_norm(q, b)
+= D_{a/b}(P_b || Q_b) for equal-mass p and q.  It is >= 0, zero exactly
+when P is proportional to Q, and scale invariant in P; divided by a it is
+the relative (a, b)-entropy in Ghosh and Basu's normalization.  Below b
+of about 1e-308 the log-norm overflows, and the sum with it.
+
 Support convention: states with p_i = 0 never contribute; p_i > 0 with
 q_i = 0 is a domain error whenever q_i carries a negative exponent
 (a > b) or sits in a log ratio (a == b), and is silently dropped where
@@ -37,7 +43,7 @@ from .numkit import (
     _validate,
 )
 
-__all__ = ["SupportError", "CrossEntropyValue", "lnce", "relative_entropy_bridge"]
+__all__ = ["SupportError", "CrossEntropyValue", "lnce"]
 
 
 class SupportError(ValueError):
@@ -66,19 +72,6 @@ class CrossEntropyValue(float):
         )
 
 
-def _check_pair(p, q, require_equal_mass):
-    """Check equal lengths and equal masses; returns the mass of q."""
-    if p.size != q.size:
-        raise ValueError(f"length mismatch: {p.size} vs {q.size}")
-    mass_p, mass_q = p.sum(), q.sum()
-    if abs(mass_p - mass_q) > TOL_MASS:
-        msg = f"total masses differ: W(p)={mass_p}, W(q)={mass_q}"
-        if require_equal_mass:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=3)
-    return mass_q
-
-
 def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     """Logarithmic norm cross-entropy of ``p`` against the prior ``q``.
 
@@ -90,7 +83,14 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     prm = _as_params(params)
     sup = _LogSupport(p, "p")
     q, q_min, _ = _validate(q, "q")
-    mass_q = _check_pair(sup.w, q, require_equal_mass)
+    if sup.w.size != q.size:
+        raise ValueError(f"length mismatch: {sup.w.size} vs {q.size}")
+    mass_p, mass_q = sup.w.sum(), q.sum()
+    if abs(mass_p - mass_q) > TOL_MASS:
+        msg = f"total masses differ: W(p)={mass_p}, W(q)={mass_q}"
+        if require_equal_mass:
+            raise ValueError(msg)
+        warnings.warn(msg, stacklevel=2)
     return CrossEntropyValue(_lnce(sup, q, q_min, prm), prm, mass_q)
 
 
@@ -112,8 +112,8 @@ def _kept(v, keep):
 
 
 def _lnce(sup, q, q_min, prm) -> float:
-    """`lnce` over the log-support of p and a validated q that passed
-    `_check_pair`, with q_min = min q.  Consumes the support.
+    """`lnce` over the log-support of p and a validated q of p's length
+    and mass, with q_min = min q.  Consumes the support.
 
     With y = log p - m - log q over the states where q > 0, the
     beta-escort e of p and d = alpha - beta, CE = beta * S - psi(beta),
@@ -195,16 +195,3 @@ def _lnce(sup, q, q_min, prm) -> float:
         l_beta = math.log1p(float(a.sum()))
     sup_u = _LogSupport.from_log(y)
     return beta * (sup_u.m + sup_u.log1p_sum(1.0, in_place=True) - l_beta) / d - l_beta
-
-
-def relative_entropy_bridge(p, q, params, require_equal_mass=True) -> float:
-    """Relative (beta, alpha)-entropy recovered from the cross-entropy via
-    CE_{a,b}(P, Q) = a RE_{b,a}(P, Q) + b log||Q||_b.  By the escort form
-    RE = (D_{a/b}(P_b || Q_b) - 2b log||Q||_b) / a: RE(P, P) is nonzero
-    unless log||P||_b = 0."""
-    prm = _as_params(params)
-    sup_p, sup_q = _LogSupport(p, "p"), _LogSupport(q, "q")
-    _check_pair(sup_p.w, sup_q.w, require_equal_mass)
-    ce = _lnce(sup_p, sup_q.w, sup_q._lo, prm) + 0.0  # as CrossEntropyValue rounds -0.0
-    # b log||Q||_b = psi(b), formed without log||Q||_b, which overflows at tiny b
-    return (ce - prm.beta * sup_q.m - sup_q.log1p_sum(prm.beta, in_place=True)) / prm.alpha

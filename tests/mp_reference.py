@@ -216,12 +216,6 @@ def lnce_scale(p, q, a, b):
     return s.L(b) + b * mp.fsum(ei * abs(yi) for ei, yi in zip(e, y)) / mp.exp(s.L(b))
 
 
-@_run
-def relative_entropy_bridge(p, q, a, b):
-    s = Support(q)
-    return (lnce(p, q, a, b) - mpf(b) * (s.m + s.L(b) / b)) / a
-
-
 def rel_err(got, ref) -> float:
     """|got - ref| / max(|ref|, FLOOR): values below FLOOR, near or past
     the end of the normal float64 range, are held to absolute accuracy.

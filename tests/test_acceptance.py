@@ -7,6 +7,8 @@ runs at desk scale (well under a minute).
 """
 
 import math
+import random
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from lne import (
     q_log,
     solve_maxent,
 )
+from lne import checks
 from lne.checks import CHECKS
 from lne.cli import main as cli_main
 from oracle import oracle_maxent
@@ -37,6 +40,24 @@ def test_check_at_seeds_0_to_9(name, check_at_seeds):
     # are their whole draw
     detail = check_at_seeds(name)
     print(f"PASS check {name} at seeds 0-9 (seed 0: {detail})")
+
+
+class _Midpoint(random.Random):
+    """random.Random whose every uniform draw is the middle of its range."""
+
+    def uniform(self, a, b):
+        return (a + b) / 2
+
+
+def test_checks_survive_the_draw_corners(monkeypatch):
+    # constant uniform draws give all-equal weights (the escort's argmax is
+    # its argmin), alpha = beta and constant g rows, which random.Random
+    # never draws; these three checks have no loop that redraws until a
+    # draw changes
+    monkeypatch.setattr(checks, "random", types.SimpleNamespace(Random=_Midpoint))
+    for name in ("escort_identity", "composition", "solvers"):
+        passed, detail = dict(CHECKS)[name](0)
+        assert passed, (name, detail)
 
 
 def test_criterion_01_scale_invariance(check_at_seeds):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -9,12 +10,15 @@ from lne import ConstraintSet, optimize, solve_maxent, solve_minxent
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 import abpairs  # noqa: E402
+import mp_reference  # noqa: E402
+from bitsweep import _REFERENCED  # noqa: E402
 
 
 def test_bitsweep_smoke():
-    # a short sweep: every public call family and the in-process CLI run
+    # a short sweep: every public call family and the in-process CLI run,
+    # with each referenced value's error against the mpmath reference
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "bitsweep.py"), "--calls", "100"],
+        [sys.executable, os.path.join(ROOT, "tools", "bitsweep.py"), "--calls", "100", "--ref"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -22,6 +26,9 @@ def test_bitsweep_smoke():
     assert proc.returncode == 0, proc.stderr
     names = {line.split(" ")[1] for line in proc.stdout.splitlines()}
     assert {"q_exp", "lne", "lnce", "solve_maxent", "solve_minxent", "cli"} <= names
+    assert " | ref " in proc.stdout
+    # every family the sweep holds to a reference has one
+    assert all(inspect.isfunction(getattr(mp_reference, name, None)) for name in _REFERENCED)
 
 
 def test_solves_evaluate_the_potential_through_the_module_attribute(monkeypatch):

@@ -22,15 +22,16 @@ with the error of both:
     python3 tools/bitsweep.py --ref --src ../parent/src > old.txt
 
 Only functions and arguments that long-standing checkouts have are
-called.  The retired ``lse`` keeps its draws and its line numbers but
-prints no line, so that sweeps of checkouts before and after its
-removal line up.  Inputs include zero entries, tied maxima, maxima one
-ulp apart, entries down to 1e-320, orders from 1e-310 to 1e4, diagonal
-and near-diagonal order pairs, invalid vectors and orders, and a few
-vectors long enough (up to 1e5) that every SIMD vector of an exp pass
-mixes normal, subnormal-result and zero-result lanes.  The CLI runs in process, on problem files
-written to a temporary directory.  Last come 40 solves with
-|alpha - beta| / beta log-uniform in [1e-12, 1e-8], drawn from a
+called.  The retired ``lse`` and ``relative_entropy_bridge`` keep their
+draws and their line numbers but print no line, so that sweeps of
+checkouts before and after their removal line up.  Inputs include
+zero entries, tied maxima, maxima one ulp apart, entries down to
+1e-320, orders from 1e-310 to 1e4, diagonal and near-diagonal order
+pairs, invalid vectors and orders, and a few vectors long enough (up to
+1e5) that every SIMD vector of an exp pass mixes normal,
+subnormal-result and zero-result lanes.  The CLI runs in process, on
+problem files written to a temporary directory.  Last come 40 solves
+with |alpha - beta| / beta log-uniform in [1e-12, 1e-8], drawn from a
 generator of their own, so that every line before them keeps its
 inputs whatever that block holds.
 """
@@ -264,9 +265,12 @@ def calls(seed, count):
                 q[rng.random(n) < 0.3] = 0.0
             if np.size(p) and np.all(np.isfinite(p)) and p.sum() > 0 and q.sum() > 0:
                 q = q * (p.sum() / q.sum())
-            fn = crossent.lnce if rng.random() < 0.7 else crossent.relative_entropy_bridge
+            retired = rng.random() >= 0.7  # the slot of the retired relative_entropy_bridge
             args = (p, q, *_pair(rng), bool(rng.random() < 0.8))
-            yield fn.__name__, lambda p, q, a, b, eq, f=fn: f(p, q, (a, b), eq), args
+            if retired:
+                yield "relative_entropy_bridge", None, ()
+            else:
+                yield "lnce", lambda p, q, a, b, eq: crossent.lnce(p, q, (a, b), eq), args
         elif r < 0.82:
             half = rng.uniform(0.0, 0.5)
             p = rng.uniform(0.0, 1.0, int(rng.integers(1, 20)))
@@ -404,10 +408,10 @@ def _cli_calls(rng):
 
 
 # the families with a reference; each takes the call's first four
-# arguments at most (lnce's and the bridge's fifth is the mass check)
+# arguments at most (lnce's fifth is the mass check)
 _REFERENCED = (
     "shannon", "renyi", "tsallis", "aczel_daroczy", "lne_min_entropy_limit", "log_norm",
-    "lne", "kapur", "norm_entropy", "gm_subadditivity_rhs", "lnce", "relative_entropy_bridge",
+    "lne", "kapur", "norm_entropy", "gm_subadditivity_rhs", "lnce",
 )
 
 
