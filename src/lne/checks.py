@@ -207,9 +207,12 @@ def check_cross_entropy(seed):
         alpha = rng.uniform(0.1, 4.0)
         if abs(alpha - 1.0) < 1e-6:
             alpha = 2.0
-        beta = rng.uniform(0.1, 4.0)
-        while abs(alpha / beta - 1.0) < 1e-3:
+        for _ in range(100):  # bounded: a generator may repeat its draw
             beta = rng.uniform(0.1, 4.0)
+            if abs(alpha / beta - 1.0) >= 1e-3:
+                break
+        else:
+            beta = alpha / 2.0 if alpha > 2.0 else 2.0 * alpha
         # escort form CE = D_t(P_b || Q_b) - b log||Q||_b, D_t the Renyi divergence, t = a/b
         for prm in (EntropyParams(alpha, 1.0), EntropyParams(alpha, beta)):
             t = alpha / prm.beta

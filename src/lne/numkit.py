@@ -257,11 +257,12 @@ class _LogSupport:
         """The support of the weights exp(lx), from the float64 vector
         ``lx`` of log weights, -inf for a zero weight, which it overwrites
         with x = lx - m, m = max lx.  Zero weights stay in x, so its
-        escorts keep the length of lx, and lo = min(x).  It has no ``w``:
-        `slope`, which may take the log of w again, is not for it."""
+        escorts keep the length of lx, and lo = min(x), or -inf below
+        _EXP_SPLIT_MIN_SIZE entries, where no exp pass reads it.  It has no
+        ``w``: `slope`, which may take the log of w again, is not for it."""
         sup = cls.__new__(cls)
         sup.m = sup._shift(lx)
-        sup.lo = float(_min(sup.x))
+        sup.lo = float(_min(sup.x)) if lx.size >= _EXP_SPLIT_MIN_SIZE else -math.inf
         return sup
 
     def _shift(self, x) -> float:
@@ -302,7 +303,7 @@ class _LogSupport:
         else:
             a = _exp_inplace(np.multiply(self.x, gamma, out=self.a), gamma * self.lo)
         a[self.i] = 0.0
-        self.a, self.s = a, float(a.sum())
+        self.a, self.s = a, float(np.add.reduce(a))  # what a.sum() calls
         return math.log1p(self.s)
 
     def log_norm(self, gamma, in_place=False) -> float:

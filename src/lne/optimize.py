@@ -48,6 +48,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .numkit import _LOG_FLOAT_MAX, _as_params, _check_order, _escort, _LogSupport, _min, as_weights
 from .qdeform import _log_q_exp
@@ -232,10 +234,23 @@ def _log_weights(lam, dg, d, terms):
     return lw, clamped
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _newton_solve(H, b):
+    """np.linalg.solve(H, b) for a float64 H and 1-D b, bit for bit: its
+    LAPACK gufunc under its error state, without its Python wrapper.  A
+    singular H raises LinAlgError, and no float warning escapes."""
+    return _lapack_solve(H, b)
+
+
 def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
     """Newton's method with backtracking on the potential log G."""
     alpha, beta = params.alpha, params.beta
     dg = cset.g - cset.targets[:, None]
+    dgT = dg.T
 
     def potential(lam):
         """(log G, support of the log weights, clamped) at ``lam``; G is
@@ -266,15 +281,22 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
         # exp((beta - d) x_i - (d m + L(beta))); zero where clamped
         if d == 0.0:
             u = e
-        elif clamped is not None:
-            u = np.exp((beta - d) * np.where(clamped, 0.0, sup.x) - (d * sup.m + lb))
-            u[clamped] = 0.0
-        else:
-            u = np.exp((beta - d) * sup.x - (d * sup.m + lb))
-        H = beta * (dg * u) @ dg.T
-        try:  # at m = 1, the division LAPACK's solve makes, bit for bit, minus its call cost
-            v = np.array([-R.item() / H.item()]) if H.size == 1 else np.linalg.solve(H, -R)
-        except (ZeroDivisionError, np.linalg.LinAlgError):  # too few unclamped states to span g
+        else:  # in place: at n = 1e4 a temporary costs more than its ufunc
+            if clamped is None:
+                u = np.multiply(sup.x, beta - d)
+            else:
+                u = np.where(clamped, 0.0, sup.x)
+                u *= beta - d
+            u -= d * sup.m + lb
+            np.exp(u, out=u)
+            if clamped is not None:
+                u[clamped] = 0.0
+        H = dg * u
+        H *= beta
+        H = H @ dgT
+        try:
+            v = _newton_solve(H, -R)
+        except LinAlgError:  # too few unclamped states to span g
             v = np.linalg.lstsq(H, -R, rcond=None)[0]
         vl = v.tolist()
         if not any(vl) or not all(map(math.isfinite, vl)):  # a zero step cannot move the iterate
@@ -289,7 +311,7 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
         flat = 8e-16 * max(1.0, abs(log_g))
         t = 1.0
         for _ in range(60):
-            cand = lam + t * v
+            cand = lam + v if t == 1.0 else lam + t * v  # t * v = v at t = 1
             log_gc, supc, clampedc = potential(cand)
             # near the minimum log G is flat to rounding: accept a step
             # that still lowers the residual there

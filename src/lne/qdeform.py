@@ -64,7 +64,7 @@ def _log_q_exp(cx, c):
         cx[cut] = 0.0
     np.log1p(cx, out=cx)
     cx /= c
-    if cut is None or not cut.any():
+    if cut is None or not np.logical_or.reduce(cut):
         return None
     cx[cut] = -np.inf
     return cut

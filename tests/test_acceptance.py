@@ -43,19 +43,27 @@ def test_check_at_seeds_0_to_9(name, check_at_seeds):
 
 
 class _Midpoint(random.Random):
-    """random.Random whose every uniform draw is the middle of its range."""
+    """random.Random whose every uniform draw is the middle of its range,
+    and which raises after 10,000 of them: a check that redraws until a
+    draw changes fails instead of spinning."""
+
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.draws = 0
 
     def uniform(self, a, b):
+        self.draws += 1
+        if self.draws > 10_000:
+            raise RuntimeError("10,000 uniform draws: a redraw loop that a repeated draw never ends")
         return (a + b) / 2
 
 
 def test_checks_survive_the_draw_corners(monkeypatch):
     # constant uniform draws give all-equal weights (the escort's argmax is
-    # its argmin), alpha = beta and constant g rows, which random.Random
-    # never draws; these three checks have no loop that redraws until a
-    # draw changes
+    # its argmin), alpha = beta, constant g rows and a beta redraw that
+    # never leaves alpha, which random.Random never draws
     monkeypatch.setattr(checks, "random", types.SimpleNamespace(Random=_Midpoint))
-    for name in ("escort_identity", "composition", "solvers"):
+    for name in ("escort_identity", "composition", "solvers", "cross_entropy"):
         passed, detail = dict(CHECKS)[name](0)
         assert passed, (name, detail)
 

@@ -23,7 +23,7 @@ from lne import (
     shannon,
     tsallis,
 )
-from lne.numkit import _EXP_FAST_MIN, _exp_for_sum, _exp_inplace, _LogSupport
+from lne.numkit import _EXP_FAST_MIN, _EXP_SPLIT_MIN_SIZE, _exp_for_sum, _exp_inplace, _LogSupport
 
 import mp_reference as R
 
@@ -285,6 +285,20 @@ class TestSupportSummary:
             self._check(got, R.log_norm(w, gamma), 1e-13, "log_norm", gamma)
         with pytest.raises(AttributeError, match="no attribute 'w'"):
             _LogSupport.from_log(np.log(w[:-1])).slope(1.01, 0.01)
+        # lo picks an exp path only from _EXP_SPLIT_MIN_SIZE entries on, and
+        # below that from_log does not scan for it
+        for n in (_EXP_SPLIT_MIN_SIZE - 1, _EXP_SPLIT_MIN_SIZE):
+            lo = _LogSupport.from_log(np.linspace(-900.0, 3.0, n)).lo
+            assert lo == (-903.0 if n >= _EXP_SPLIT_MIN_SIZE else -np.inf), n
+
+    @pytest.mark.parametrize("n", [2, 9, 20, 130, 5000])
+    def test_power_sum_has_the_bits_of_ndarray_sum(self, n):
+        # log1p_sum adds with np.add.reduce, the reduction ndarray.sum
+        # calls: the same pairwise blocks, the same bits
+        sup = _LogSupport(np.random.default_rng(n).uniform(1e-3, 1.0, n))
+        for gamma in (0.3, 2.0, 100.0):
+            sup.log1p_sum(gamma)
+            assert sup.s == float(sup.a.sum()), gamma
 
     def test_ties_from_rounding(self):
         # log weights one ulp apart, whose products with gamma round to

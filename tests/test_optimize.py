@@ -21,7 +21,7 @@ from lne import (
     solve_minxent,
 )
 from lne.crossent import lnce
-from lne.optimize import _log_weights
+from lne.optimize import _log_weights, _newton_solve
 from oracle import oracle_maxent
 
 CFG = SolverConfig()
@@ -524,6 +524,54 @@ class TestLogWeights:
         assert (clamped is None) if not cut else np.flatnonzero(clamped).tolist() == cut
 
 
+def _solve_outcome(solve, H, b):
+    try:
+        return solve(H, b).tobytes()
+    except np.linalg.LinAlgError:
+        return "singular"
+
+
+class TestNewtonSolve:
+    """The Newton step solves H v = -R with the LAPACK gufunc that
+    np.linalg.solve calls, under its error state, without its wrapper."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bits_of_np_linalg_solve(self, m):
+        # H = beta * (dg * u) @ dg.T as the step forms it.  Among every four
+        # systems: one with nearly collinear rows of dg (at m = 1 a scale of
+        # up to 1e+-150), one with weights u over 300 decades, and one with
+        # u zero past m - 1 states, where H is singular or nearly so
+        rng = np.random.default_rng([23, m])
+        for k in range(1000):
+            n = int(rng.integers(m + 1, 40))
+            dg = rng.standard_normal((m, n))
+            u = np.exp(rng.uniform(-5.0, 0.0, n))
+            if k % 4 == 1:
+                if m == 1:
+                    dg *= 10.0 ** rng.uniform(-150.0, 150.0)
+                else:
+                    dg[-1] = dg[0] + 10.0 ** rng.uniform(-12.0, -4.0) * rng.standard_normal(n)
+            elif k % 4 == 2:
+                u = np.exp(rng.uniform(-700.0, 0.0, n))
+            elif k % 4 == 3:
+                u[m - 1:] = 0.0
+            H = rng.uniform(0.2, 5.0) * (dg * u) @ dg.T
+            b = -(dg @ rng.dirichlet(np.ones(n)))  # -R, R = dg @ e
+            assert _solve_outcome(_newton_solve, H, b) == _solve_outcome(np.linalg.solve, H, b), (k, H, b)
+
+    @pytest.mark.parametrize("H", [[[0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0] * 3] * 3])
+    def test_singular_matrix_raises_without_a_warning(self, H):
+        # what sends the step to lstsq; a numpy whose private gufunc moved
+        # or stopped raising fails here
+        H = np.array(H)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _newton_solve(H, np.ones(len(H)))
+        assert np.geterr() == before
+
+
 class TestOracle:
     def test_unconstrained_near_uniform(self):
         o = oracle_maxent(3, None, EntropyParams(2.0, 1.0), 1e-3)
@@ -581,7 +629,7 @@ class TestRareBranches:
     of the Newton iteration no other test reaches, written out exactly."""
 
     def test_singular_newton_matrix_takes_least_squares_step(self):
-        # np.linalg.solve rejects the Newton matrix on the way
+        # LAPACK's solve finds the Newton matrix singular on the way
         g = [
             [1.7396777214069008, -0.8231664480298494, -0.7226455194265616],
             [0.8324924272040991, -0.24631322817743748, 2.140910180697006],

@@ -70,3 +70,18 @@ def test_abpairs_flags_pairs_in_two_allocator_states():
     assert lines[0].endswith("peak_rss_mb sides differ by > 3 MB in pairs [2]")
     assert "differ" not in lines[1]
     assert lines[3].endswith("peak_rss_mb sides differ in 2 of 6 pairs")
+
+
+def test_abpairs_l3_line_gives_the_step_time_by_m():
+    # the m = 1 steps and the m >= 2 steps solve by different costs: the
+    # summary gives each m next to the pooled median, as the JSON keys it
+    def side(steps, evals, us, by_m):
+        return {"steps_mean": steps, "evals_mean": evals, "small_step_us_median": us,
+                "small_step_us_median_by_m": by_m}
+
+    row = {"seed": 2,
+           "base": side(4.5, 6.25, 47.04, {"1": 44.0, "2": 48.26, "3": 49.0}),
+           "head": side(4.5, 6.25, 40.0, {"1": 45.2, "2": 38.0, "3": 38.5})}
+    lines = abpairs.summary_lines({"runs": [], "pooled": {}, "l3": [row]})
+    assert lines == ["L3 seed 2: steps 4.500 -> 4.500, evals 6.250 -> 6.250, us/step 47.0 -> 40.0 "
+                     "(m = 1: 44.0 -> 45.2, m = 2: 48.3 -> 38.0, m = 3: 49.0 -> 38.5)"]

@@ -26,7 +26,9 @@ every pool entry is solved once in each tree with the solver's private
 ``_log_weights`` wrapped by a counter, which gives Newton steps and
 evaluations of the potential (each also evaluates the residual when it
 is accepted) per solve; an unwrapped pass, the best of three per entry,
-gives time per solve and per Newton step.  Nothing under ``src/`` counts.
+gives time per solve and per Newton step, the latter also by the number
+m of constraints, whose linear solve costs differ.  Nothing under
+``src/`` counts.
 
 The result goes to ``BENCH_<pr>.json`` at the root of the repository,
 with the commit ids, the machine and its load average before and after.
@@ -66,8 +68,7 @@ calls = []
 for c in workloads.solve(seed):
     first, g, G, alpha, beta = c.args
     cset = lne.ConstraintSet(g, np.atleast_1d(G))
-    n = cset.n
-    calls.append((n, getattr(lne, c.fn), (first, cset, lne.EntropyParams(alpha, beta))))
+    calls.append((cset.n, cset.m, getattr(lne, c.fn), (first, cset, lne.EntropyParams(alpha, beta))))
 
 def run(fn, args):
     try:
@@ -84,12 +85,12 @@ def counted(*a):
 
 rows = []
 optimize._log_weights = counted
-for n, fn, args in calls:
+for n, m, fn, args in calls:
     count[0] = 0
     rep = run(fn, args)
-    rows.append([n, rep is not None and rep.converged, rep.iterations if rep else 0, count[0]])
+    rows.append([n, m, rep is not None and rep.converged, rep.iterations if rep else 0, count[0]])
 optimize._log_weights = inner
-for row, (n, fn, args) in zip(rows, calls):
+for row, (n, m, fn, args) in zip(rows, calls):
     best = float("inf")
     for _ in range(3):
         t = time.perf_counter()
@@ -97,18 +98,20 @@ for row, (n, fn, args) in zip(rows, calls):
         best = min(best, time.perf_counter() - t)
     row.append(best)
 
-conv = [r for r in rows if r[1]]
-small = [r for r in conv if r[0] < 1000 and r[2] > 0]
+conv = [r for r in rows if r[2]]
+small = [r for r in conv if r[0] < 1000 and r[3] > 0]
 print(json.dumps({
     "solves": len(rows),
     "converged": len(conv),
-    "steps_mean": statistics.fmean(r[2] for r in conv),
-    "evals_mean": statistics.fmean(r[3] for r in conv),
-    "steps_median": statistics.median(r[2] for r in conv),
-    "evals_median": statistics.median(r[3] for r in conv),
-    "evals_mean_all": statistics.fmean(r[3] for r in rows),
-    "small_solve_ms_median": 1e3 * statistics.median(r[4] for r in small),
-    "small_step_us_median": 1e6 * statistics.median(r[4] / r[2] for r in small),
+    "steps_mean": statistics.fmean(r[3] for r in conv),
+    "evals_mean": statistics.fmean(r[4] for r in conv),
+    "steps_median": statistics.median(r[3] for r in conv),
+    "evals_median": statistics.median(r[4] for r in conv),
+    "evals_mean_all": statistics.fmean(r[4] for r in rows),
+    "small_solve_ms_median": 1e3 * statistics.median(r[5] for r in small),
+    "small_step_us_median": 1e6 * statistics.median(r[5] / r[3] for r in small),
+    "small_step_us_median_by_m": {m: 1e6 * statistics.median(r[5] / r[3] for r in small if r[1] == m)
+                                  for m in sorted({r[1] for r in small})},
 }))
 """
 
@@ -210,9 +213,11 @@ def summary_lines(result):
         lines.append(line)
     for row in result["l3"]:
         b, h = row["base"], row["head"]
+        by_m = ", ".join(f"m = {m}: {b['small_step_us_median_by_m'][m]:.1f} -> {us:.1f}"
+                         for m, us in h["small_step_us_median_by_m"].items() if m in b["small_step_us_median_by_m"])
         lines.append(f"L3 seed {row['seed']}: steps {b['steps_mean']:.3f} -> {h['steps_mean']:.3f}, "
                      f"evals {b['evals_mean']:.3f} -> {h['evals_mean']:.3f}, "
-                     f"us/step {b['small_step_us_median']:.1f} -> {h['small_step_us_median']:.1f}")
+                     f"us/step {b['small_step_us_median']:.1f} -> {h['small_step_us_median']:.1f} ({by_m})")
     return lines
 
 
