@@ -281,7 +281,7 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
         # exp((beta - d) x_i - (d m + L(beta))); zero where clamped
         if d == 0.0:
             u = e
-        else:  # in place: at n = 1e4 a temporary costs more than its ufunc
+        else:
             if clamped is None:
                 u = np.multiply(sup.x, beta - d)
             else:
@@ -291,9 +291,11 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
             np.exp(u, out=u)
             if clamped is not None:
                 u[clamped] = 0.0
-        H = dg * u
-        H *= beta
-        H = H @ dgT
+        # u and beta * dg * u are formed in place: on a long vector a
+        # temporary costs more than the ufunc that fills it
+        dgu = dg * u
+        dgu *= beta
+        H = dgu @ dgT
         try:
             v = _newton_solve(H, -R)
         except LinAlgError:  # too few unclamped states to span g
