@@ -21,8 +21,10 @@ of about 1e-308 the log-norm overflows, and the sum with it.
 
 Support convention: states with p_i = 0 never contribute; p_i > 0 with
 q_i = 0 is a domain error whenever q_i carries a negative exponent
-(a > b) or sits in a log ratio (a == b), and is silently dropped where
-the exponent is positive.
+(a > b) or sits in a log ratio (a == b), and is silently dropped from
+the sum where the exponent is positive, while it still counts in
+||P||_b.  Such a state is a masked lane of the working vector
+y = log(p/q), not a state removed from it (see `_lnce`).
 """
 
 from __future__ import annotations
@@ -94,68 +96,57 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     return CrossEntropyValue(_lnce(sup, q, q_min, prm), prm, mass_q)
 
 
-# Entries per block of `_kept`, which makes no temporary the size of its
-# vector.
-_BLOCK = 1 << 13
-
-
-def _kept(v, keep):
-    """v[keep] a block of v at a time, as pairs (j, b): b holds the kept
-    entries of one block, and j is their offset in v[keep].  Each b is a
-    copy read before the next block is, so writing it to v[j:] as it
-    comes moves v[keep] to the front of v."""
-    j = 0
-    for lo in range(0, v.size, _BLOCK):
-        b = v[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
-        yield j, b
-        j += b.size
-
-
 def _lnce(sup, q, q_min, prm) -> float:
     """`lnce` over the log-support of p and a validated q of p's length
     and mass, with q_min = min q.  Consumes the support.
 
-    With y = log p - m - log q over the states where q > 0, the
-    beta-escort e of p and d = alpha - beta, CE = beta * S - psi(beta),
-    where S = log(e . exp(d y)) / d is the slope of y's cumulant
-    generating function, and e . y at d = 0.  The branch is picked from
-    y alone, before any exp pass.  The escort times its norm is at most 1
-    on each state, so the norm of the kept states is at most y.size, and
-    where |d| range(y) + log(y.size) stays below log(DBL_MAX) their sum
-    of exp(d (y_i - y_j)) cannot overflow.  There S is taken as ybar + log1p(e .
-    expm1(d (y - ybar))) / d with ybar = e . y: the mean carries the
-    first-order part of the sum, which would otherwise cancel near the
-    diagonal, so S is as accurate as ybar at any d.  One exact exp pass
-    in place over x gives both L(beta) and the escort.  Past that range,
-    or where the states dropped for q = 0 carry more of the escort than
-    the kept ones, the sum rests on entries far out in y, whose escort
-    weights may underflow, and it is taken in log space, as m + L(1) of
-    the log weights u = beta x + d y formed over y; L(beta) then comes
-    from a sum-only exp pass over beta x (see `_exp_for_sum`)."""
+    With y = log p - m - log q over p's support, the beta-escort e of p
+    and d = alpha - beta, CE = beta * S - psi(beta), where
+    S = log(e . exp(d y)) / d is the slope of y's cumulant generating
+    function over the kept states, those where q > 0, and e . y at d = 0.
+    A state with q = 0 (at alpha < beta only) is a masked lane of y: it
+    takes the value of the first kept lane, so that range(y) is the kept
+    states' range, and its escort weight is left out of the sum.  The
+    branch is picked from y alone, before any exp pass.  The escort times
+    its norm is at most 1 on each state, so the norm of the k kept states
+    is at most k, and where |d| range(y) + log(k) stays below
+    log(DBL_MAX) their sum of exp(d (y_i - y_j)) cannot overflow.  There
+    S is taken as ybar + log1p(e . expm1(d (y - ybar))) / d with
+    ybar = e . y: the mean carries the first-order part of the sum, which
+    would otherwise cancel near the diagonal, so S is as accurate as ybar
+    at any d.  One exact exp pass in place over x gives both L(beta) and
+    the escort.  Past that range, or where the dropped states carry more
+    of the escort than the kept ones, the sum rests on entries far out in
+    y, whose escort weights may underflow, and it is taken in log space,
+    as m + L(1) of the log weights u = beta x + d y formed over y, -inf
+    on the masked lanes; L(beta) then comes from a sum-only exp pass over
+    beta x (see `_exp_for_sum`)."""
     alpha, beta = prm.alpha, prm.beta
     d = alpha - beta
     p, x = sup.w, sup.x
     qs = q if x.size == p.size else q[p > 0]  # q on the support of p
+    k = x.size
     # q is nonnegative, so a minimum of 0 means a zero
     if q_min > 0 or _min(qs) > 0:
-        both = None
+        drop = None
         y = np.log(qs, out=None if qs is q else qs)
-        np.subtract(x, y, out=y)
     else:
         if alpha >= beta:
             raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
-        both = qs > 0
-        if not both.any():
+        # a zero of q under the positive exponent beta - alpha drops its
+        # state from the sum, but not from psi(beta)
+        drop = qs == 0
+        k -= int(np.count_nonzero(drop))
+        if not k:
             # alpha < beta with disjoint supports: the defining sum is
             # empty and the value diverges; refuse rather than return inf.
             raise SupportError(int(np.flatnonzero(p > 0)[0]))
-        # a zero of q under the positive exponent beta - alpha drops its
-        # state from the sum, but not from psi(beta)
-        y = qs[both]
-        np.log(y, out=y)
-        for j, b in _kept(x, both):
-            np.subtract(b, y[j : j + b.size], out=y[j : j + b.size])
-    expm1 = abs(d) * (y[y.argmax()] - _min(y)) + math.log(y.size) <= _LOG_FLOAT_MAX
+        with np.errstate(divide="ignore"):
+            y = np.log(qs, out=None if qs is q else qs)
+    np.subtract(x, y, out=y)
+    if drop is not None:
+        y[drop] = y[drop.argmin()]
+    expm1 = abs(d) * (y[y.argmax()] - _min(y)) + math.log(k) <= _LOG_FLOAT_MAX
     if expm1:
         # exp(beta x): L(beta), and the kept escort times norm
         a = _exp_inplace(np.multiply(x, beta, out=x), beta * sup.lo)
@@ -164,11 +155,10 @@ def _lnce(sup, q, q_min, prm) -> float:
         l_beta = math.log1p(s)  # psi(beta) = beta * m + l_beta
         a[sup.i] = 1.0
         norm, dropped = 1.0 + s, 0.0
-        if both is not None:
-            dropped = float(a[~both].sum())
-            for j, b in _kept(a, both):
-                a[j : j + b.size] = b
-            a = a[: y.size]
+        if drop is not None:
+            # a masked sum: a[drop] would copy up to the whole support
+            dropped = float(np.add.reduce(a, where=drop))
+            a[drop] = 0.0
             norm = float(a.sum())
         # with norm >= dropped, norm >= 1/2: a[i] = 1 is among the two
         if norm >= dropped:
@@ -184,11 +174,9 @@ def _lnce(sup, q, q_min, prm) -> float:
     # log(e . exp(d y)) + L(beta), in place over y
     bx = np.multiply(x, beta, out=x)
     y *= d
-    if both is None:
-        y += bx
-    else:
-        for j, b in _kept(bx, both):
-            y[j : j + b.size] += b
+    y += bx
+    if drop is not None:
+        y[drop] = -math.inf
     if not expm1:
         a = _exp_for_sum(bx, beta * sup.lo)
         a[sup.i] = 0.0

@@ -306,9 +306,6 @@ class _LogSupport:
         self.a, self.s = a, float(np.add.reduce(a))  # what a.sum() calls
         return math.log1p(self.s)
 
-    def log_norm(self, gamma, in_place=False) -> float:
-        return self.m + self.log1p_sum(gamma, in_place) / gamma
-
     def escort(self, gamma) -> np.ndarray:
         """The gamma-escort w^gamma / sum w^gamma, in the exp array."""
         self.log1p_sum(gamma)
@@ -373,7 +370,8 @@ def log_norm(w, gamma) -> float:
     exact to machine precision.
     """
     gamma = _check_order(gamma)
-    return _LogSupport(w).log_norm(gamma, in_place=True)
+    sup = _LogSupport(w)
+    return sup.m + sup.log1p_sum(gamma, in_place=True) / gamma
 
 
 def escort(w, beta) -> np.ndarray:

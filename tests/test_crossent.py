@@ -217,3 +217,50 @@ class TestLongVectors:
             assert spread + math.log(k) <= LOG_FLOAT_MAX and norm < dropped
             self._check(p, q, a, b)
 
+    @classmethod
+    def _zero_prior_corner(cls, corner):
+        """(p, q) of equal mass for one placement of the zeros of q."""
+        p = cls._tile([0.3, 1e-3, 1e-200, 0.1])
+        q = cls._tile([0.2, 0.3, 0.4, 0.1])
+        if corner == "state 0":
+            # the first kept lane, whose value the dropped lanes take, is 1
+            p = cls._tile([1e-3, 1.0, 0.3, 1e-200])
+            q[0] = 0.0
+        elif corner in ("argmax", "one kept at the argmax"):
+            p[1000] = 1e20
+            if corner == "argmax":
+                q[1000] = 0.0
+            else:
+                q = np.where(np.arange(cls.N) == 1000, 1.0, 0.0)
+        elif corner == "one kept below the argmax":
+            q = np.where(np.arange(cls.N) == 1, 1.0, 0.0)
+        else:  # "90 % zeros", and p = 0 on a seventh of the states
+            p = cls._tile([1.0, 0.0, 0.3, 1e-3, 1e-200, 0.05, 0.7])
+            p[::10] *= 100.0  # the kept states carry the escort
+            q = cls._tile([0.5] + [0.0] * 9)
+        p /= p.sum()
+        return p, q * (p.sum() / q.sum())
+
+    @pytest.mark.parametrize(
+        "corner, branches",
+        [
+            ("state 0", "ELEE"),
+            ("argmax", "LLLL"),
+            ("one kept at the argmax", "EEEE"),
+            ("one kept below the argmax", "LLLL"),
+            ("90 % zeros", "ELEE"),
+        ],
+    )
+    def test_zero_prior_is_a_masked_lane(self, corner, branches):
+        # a zero of q at alpha < beta is a lane of y that takes the first
+        # kept lane's value and drops out of the sum: each corner at an
+        # order pair on each side of the branch rule and near the diagonal
+        # (E: the expm1 sum, L: the sum in log space)
+        p, q = self._zero_prior_corner(corner)
+        assert (q == 0).any()
+        for (a, b), branch in zip(((2.0, 2.5), (0.3, 6.0), (1.9, 2.0), (2.0 - 1e-9, 2.0)), branches):
+            spread, k, norm, dropped = self._terms(p, q, a, b)
+            log_space = spread + math.log(k) > LOG_FLOAT_MAX or norm < dropped
+            assert log_space == (branch == "L"), (a, b)
+            self._check(p, q, a, b)
+

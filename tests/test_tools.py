@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from lne import ConstraintSet, optimize, solve_maxent, solve_minxent
 
@@ -85,3 +86,32 @@ def test_abpairs_l3_line_gives_the_step_time_by_m():
     lines = abpairs.summary_lines({"runs": [], "pooled": {}, "l3": [row]})
     assert lines == ["L3 seed 2: steps 4.500 -> 4.500, evals 6.250 -> 6.250, us/step 47.0 -> 40.0 "
                      "(m = 1: 44.0 -> 45.2, m = 2: 48.3 -> 38.0, m = 3: 49.0 -> 38.5)"]
+
+
+def test_abpairs_l3_alternates_the_sides(monkeypatch):
+    # each seed's L3 pass runs base then head, and then head then base, so
+    # that a drift of the host lands on both sides; each time is the
+    # lower of a side's two passes, and its counts must agree
+    calls = []
+    times = {"base": iter([60.0, 50.0]), "head": iter([40.0, 45.0])}
+
+    def l3(tree, seed):
+        calls.append(tree)
+        us = next(times[tree])
+        return {"steps_mean": 4.5, "small_solve_ms_median": us / 10, "small_step_us_median": us,
+                "small_step_us_median_by_m": {"1": us, "2": us + 1}}
+
+    monkeypatch.setattr(abpairs, "_l3", l3)
+    row = abpairs.l3_row({"base": "base", "head": "head"}, 3)
+    assert calls == ["base", "head", "head", "base"]
+    assert row == {"seed": 3,
+                   "base": {"steps_mean": 4.5, "small_solve_ms_median": 5.0, "small_step_us_median": 50.0,
+                            "small_step_us_median_by_m": {"1": 50.0, "2": 51.0}},
+                   "head": {"steps_mean": 4.5, "small_solve_ms_median": 4.0, "small_step_us_median": 40.0,
+                            "small_step_us_median_by_m": {"1": 40.0, "2": 41.0}}}
+    # a side whose passes count differently stops the run
+    steps = iter([4.5, 4.5, 4.5, 5.0])
+    monkeypatch.setattr(abpairs, "_l3", lambda tree, seed: {"steps_mean": next(steps),
+                                                            **dict.fromkeys(abpairs.L3_TIMES, 1.0)})
+    with pytest.raises(SystemExit, match="base tree's counts differ"):
+        abpairs.l3_row({"base": "base", "head": "head"}, 3)

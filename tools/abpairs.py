@@ -27,8 +27,11 @@ every pool entry is solved once in each tree with the solver's private
 evaluations of the potential (each also evaluates the residual when it
 is accepted) per solve; an unwrapped pass, the best of three per entry,
 gives time per solve and per Newton step, the latter also by the number
-m of constraints, whose linear solve costs differ.  Nothing under
-``src/`` counts.
+m of constraints, whose linear solve costs differ.  Each seed runs that
+pass twice, base first and then head first, so that a drift of the host
+lands on both sides; each side's counts must agree between its two
+passes, and each time is the lower of the two.  Nothing under ``src/``
+counts.
 
 The result goes to ``BENCH_<pr>.json`` at the root of the repository,
 with the commit ids, the machine and its load average before and after.
@@ -152,6 +155,31 @@ def _l3(tree, seed):
     if out.returncode != 0:
         raise SystemExit(f"L3 pass in {tree} failed:\n{out.stderr.strip()}")
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+# The keys of an L3 pass that time rather than count.
+L3_TIMES = ("small_solve_ms_median", "small_step_us_median", "small_step_us_median_by_m")
+
+
+def _lower(a, b):
+    return {m: min(a[m], b[m]) for m in a} if isinstance(a, dict) else min(a, b)
+
+
+def l3_row(trees, seed):
+    """The L3 row of ``seed``: `_l3` of each tree twice, base first and
+    then head first, with each side's counts checked equal between its
+    passes and each time the lower of the two."""
+    passes = {"base": [], "head": []}
+    for order in (("base", "head"), ("head", "base")):
+        for side in order:
+            passes[side].append(_l3(trees[side], seed))
+    row = {"seed": seed}
+    for side, (one, two) in passes.items():
+        counts = {k: v for k, v in one.items() if k not in L3_TIMES}
+        if counts != {k: v for k, v in two.items() if k not in L3_TIMES}:
+            raise SystemExit(f"L3 seed {seed}: the {side} tree's counts differ between its two passes")
+        row[side] = {**counts, **{k: _lower(one[k], two[k]) for k in L3_TIMES}}
+    return row
 
 
 def _spread(xs):
@@ -293,7 +321,7 @@ def main(argv=None):
                     name: summarize(pool[name]["base"], pool[name]["head"], how) for name, how in better.items()
                 }
         for seed in [int(s) for s in args.l3_seeds.split(",") if s]:
-            result["l3"].append({"seed": seed, **{side: _l3(trees[side], seed) for side in trees}})
+            result["l3"].append(l3_row(trees, seed))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     result["loadavg_after"] = os.getloadavg()
