@@ -84,7 +84,7 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
     """
     prm = _as_params(params)
     sup = _LogSupport(p, "p")
-    q, q_min, _ = _validate(q, "q")
+    q, q_min, q_max, _ = _validate(q, "q")
     if sup.w.size != q.size:
         raise ValueError(f"length mismatch: {sup.w.size} vs {q.size}")
     mass_p, mass_q = sup.w.sum(), q.sum()
@@ -93,12 +93,22 @@ def lnce(p, q, params, require_equal_mass=True) -> CrossEntropyValue:
         if require_equal_mass:
             raise ValueError(msg)
         warnings.warn(msg, stacklevel=2)
-    return CrossEntropyValue(_lnce(sup, q, q_min, prm), prm, mass_q)
+    return CrossEntropyValue(_lnce(sup, q, q_min, q_max, prm), prm, mass_q)
 
 
-def _lnce(sup, q, q_min, prm) -> float:
+def _range_bounds(lo, q_min, q_max):
+    """(lower, upper) bounds on range(y) for y = x - log q, with x in
+    [lo, 0] reaching both ends and q in [q_min, q_max] with q_min > 0:
+    range(y) lies within -lo -+ log(q_max / q_min).  They are widened by
+    2**-30 of their size, far more than the roundings of x, lo and y."""
+    c = math.log(q_max) - math.log(q_min)
+    slack = 2.0**-30 * (1.0 + c - lo)
+    return -lo - c - slack, -lo + c + slack
+
+
+def _lnce(sup, q, q_min, q_max, prm) -> float:
     """`lnce` over the log-support of p and a validated q of p's length
-    and mass, with q_min = min q.  Consumes the support.
+    and mass, with q_min = min q and q_max = max q.  Consumes the support.
 
     With y = log p - m - log q over p's support, the beta-escort e of p
     and d = alpha - beta, CE = beta * S - psi(beta), where
@@ -107,20 +117,25 @@ def _lnce(sup, q, q_min, prm) -> float:
     A state with q = 0 (at alpha < beta only) is a masked lane of y: it
     takes the value of the first kept lane, so that range(y) is the kept
     states' range, and its escort weight is left out of the sum.  The
-    branch is picked from y alone, before any exp pass.  The escort times
-    its norm is at most 1 on each state, so the norm of the k kept states
-    is at most k, and where |d| range(y) + log(k) stays below
-    log(DBL_MAX) their sum of exp(d (y_i - y_j)) cannot overflow.  There
+    escort times its norm is at most 1 on each state, so the norm of the
+    k kept states is at most k, and where |d| range(y) + log(k) stays
+    below log(DBL_MAX) their sum of exp(d (y_i - y_j)) cannot overflow.
+    That branch is picked before any exp pass: with a positive prior from
+    the bounds of `_range_bounds` where they decide it, and from a scan
+    of y where they do not or q has a zero.  The test is monotone in
+    range(y), so bounds that decide it pick the scan's branch.  There
     S is taken as ybar + log1p(e . expm1(d (y - ybar))) / d with
     ybar = e . y: the mean carries the first-order part of the sum, which
     would otherwise cancel near the diagonal, so S is as accurate as ybar
     at any d.  One exact exp pass in place over x gives both L(beta) and
-    the escort.  Past that range, or where the dropped states carry more
-    of the escort than the kept ones, the sum rests on entries far out in
-    y, whose escort weights may underflow, and it is taken in log space,
-    as m + L(1) of the log weights u = beta x + d y formed over y, -inf
-    on the masked lanes; L(beta) then comes from a sum-only exp pass over
-    beta x (see `_exp_for_sum`)."""
+    the escort: its lanes are multiplied by exp(d (y - ybar)), which can
+    reach DBL_MAX / k, so a raised lane of `_exp_for_sum` could move the
+    sum by far more than its rounding.  Past that range, or where the
+    dropped states carry more of the escort than the kept ones, the sum
+    rests on entries far out in y, whose escort weights may underflow,
+    and it is taken in log space, as m + L(1) of the log weights
+    u = beta x + d y formed over y, -inf on the masked lanes; L(beta)
+    then comes from a sum-only exp pass over beta x (see `_exp_for_sum`)."""
     alpha, beta = prm.alpha, prm.beta
     d = alpha - beta
     p, x = sup.w, sup.x
@@ -144,9 +159,17 @@ def _lnce(sup, q, q_min, prm) -> float:
         with np.errstate(divide="ignore"):
             y = np.log(qs, out=None if qs is q else qs)
     np.subtract(x, y, out=y)
+    log_k = math.log(k)
     if drop is not None:
         y[drop] = y[drop.argmin()]
-    expm1 = abs(d) * (y[y.argmax()] - _min(y)) + math.log(k) <= _LOG_FLOAT_MAX
+    # a zero anywhere in q leaves range(y) unbounded by q: scan y
+    lower, upper = _range_bounds(sup.lo, q_min, q_max) if q_min > 0 else (0.0, math.inf)
+    if abs(d) * upper + log_k <= _LOG_FLOAT_MAX:
+        expm1 = True
+    elif abs(d) * lower + log_k > _LOG_FLOAT_MAX:
+        expm1 = False
+    else:
+        expm1 = abs(d) * (y[y.argmax()] - _min(y)) + log_k <= _LOG_FLOAT_MAX
     if expm1:
         # exp(beta x): L(beta), and the kept escort times norm
         a = _exp_inplace(np.multiply(x, beta, out=x), beta * sup.lo)

@@ -29,7 +29,8 @@ entropy and cross-entropy of the family is a short expression in m, L
 and D (see `lne.entropy`), with no formula switch near the diagonal.
 
 A call holds x and one exp array: the exp array of L(b) is also the
-b-escort, and D works in place over x.
+b-escort times its norm, which D reads only through sums, and D works in
+place over x.
 
 `_LogSupport.from_log` takes the same shift of weights given by their
 logs, so that the class is the package's only log-sum-exp: the solver's
@@ -37,25 +38,31 @@ potential is log G = alpha * m + L(alpha) over the log stationary
 weights (see `lne.optimize`), and `lnce` sums in log space past its
 overflow bound.
 
-An exp of a full-size array whose lanes are read one by one (an
-escort, the dot products of `slope`, the solver's weights, the expm1
-branch of `lnce`) goes through `_exp_inplace`, which hands numpy's
-vector exp only arguments whose results are at least 2**-1021.
-numpy's AVX-512 exp drops a whole SIMD vector to a slow path, about a
-hundred times slower per entry, when any one lane's result is below
-that, and weights with a dynamic range of 1e200 at orders of a few
-units put several percent of the shifted arguments there, scattered
-through the array.  Those arguments are raised to the fast range, and
-their lanes zeroed after the exp; the few whose results are subnormal
-are recomputed by np.exp on their own, and every result keeps the bits
-np.exp gives it.  An exp array of which only the sum is read (L in
-place, as `log_norm` and `lne_min_entropy_limit` take it, L at the
-larger order where `slope` takes the plain difference, and L(beta) and
-the log-space sum of `lnce`) goes through `_exp_for_sum`, which
-raises those results to exp(-707), about 2**-1020, and nothing else:
-a sum of n terms moves by less than n * 2**-1019, so a sum >= 1 keeps
-its bits.  Vectors of fewer than 2048 entries go to np.exp as they are
-in both: the slow path costs them less than avoiding it.
+An exp of a full-size array whose lanes leave the call (`escort`, the
+solver's residual escort and the p it returns, the expm1 branch of
+`lnce`, whose lanes are multiplied by up to DBL_MAX / k) goes through
+`_exp_inplace`, which hands numpy's vector exp only arguments whose
+results are at least 2**-1021.  numpy's AVX-512 exp drops a whole SIMD
+vector to a slow path, about a hundred times slower per entry, when any
+one lane's result is below that, and weights with a dynamic range of
+1e200 at orders of a few units put several percent of the shifted
+arguments there, scattered through the array.  Those arguments are
+raised to the fast range, and their lanes zeroed after the exp; the few
+whose results are subnormal are recomputed by np.exp on their own, and
+every result keeps the bits np.exp gives it.  Every other exp pass reads
+its array only through sums of its lanes times factors of at most
+1 + |lo| in size: L, as `log1p_sum` takes it (`log_norm`,
+`lne_min_entropy_limit`, the solver's potential and the log-space sum of
+`lnce`), L(beta) of `lnce`'s log-space branch, L at the larger order
+where `slope` takes the plain difference, and the b-escort times its
+norm of `slope`, read through s, a . x and a . expm1(h x), with
+|x| <= |lo| and expm1(h x) in (-1, 0].  It goes through `_exp_for_sum`,
+which raises those results to exp(-707), about 2**-1020, and nothing
+else: each sum moves by less than n * (1 + |lo|) * 2**-1019, which is
+below its rounding once it is at least 2**-900 (a sum >= 1 keeps its
+bits).  `slope` makes its pass again exactly where s or |a . x| is
+smaller than that.  Vectors of fewer than 2048 entries go to np.exp as
+they are in both: the slow path costs them less than avoiding it.
 """
 
 from __future__ import annotations
@@ -109,19 +116,21 @@ def _as_params(params) -> EntropyParams:
 
 
 def _validate(w, name):
-    """(w, min w, max w) of ``w`` checked as a weight vector; see `as_weights`."""
+    """(w, min w, max w, index of max w) of ``w`` checked as a weight
+    vector; see `as_weights`."""
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
     # nan and +-inf all reach the minimum or the maximum (see _min)
-    lo, hi = arr[arr.argmin()], arr[arr.argmax()]
+    top = int(arr.argmax())
+    lo, hi = arr[arr.argmin()], arr[top]
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} contains non-finite entries")
     if lo < 0:
         raise ValueError(f"{name} contains negative entries")
     if not hi > 0:
         raise ValueError(f"{name} must have at least one positive entry")
-    return arr, lo, hi
+    return arr, lo, hi, top
 
 
 def as_weights(w, name="w"):
@@ -169,8 +178,9 @@ _EXP_ZERO_BELOW = -746.0
 _EXP_SPLIT_MIN_SIZE = 2048
 
 
-def _exp_inplace(x, x_min=None) -> np.ndarray:
-    """Overwrite the float64 vector ``x`` with np.exp(x), bit for bit.
+def _exp_inplace(x, x_min=None, out=None) -> np.ndarray:
+    """np.exp(x) of the float64 vector ``x``, bit for bit, into ``out``
+    (x itself by default).
 
     On vectors of at least _EXP_SPLIT_MIN_SIZE entries, arguments below
     _EXP_FAST_MIN are raised to it before the vector exp runs, so no SIMD
@@ -180,27 +190,30 @@ def _exp_inplace(x, x_min=None) -> np.ndarray:
     an estimate of it: it only picks the path, and every path gives
     np.exp's bits.
     """
+    if out is None:
+        out = x
     if x.size < _EXP_SPLIT_MIN_SIZE:
-        return np.exp(x, out=x)
+        return np.exp(x, out=out)
     if x_min is None:
         x_min = _min(x)
     if not x_min < _EXP_FAST_MIN:  # also true when it is nan
-        return np.exp(x, out=x)
+        return np.exp(x, out=out)
     keep = x >= _EXP_FAST_MIN
     tiny = x >= _EXP_ZERO_BELOW
     tiny ^= keep
     tiny = np.flatnonzero(tiny)
     x_tiny = x[tiny]
-    np.maximum(x, _EXP_FAST_MIN, out=x)  # nan stays nan
-    np.exp(x, out=x)
-    np.multiply(x, keep, out=x)
-    x[tiny] = np.exp(x_tiny)
-    return x
+    np.maximum(x, _EXP_FAST_MIN, out=out)  # nan stays nan
+    np.exp(out, out=out)
+    np.multiply(out, keep, out=out)
+    out[tiny] = np.exp(x_tiny)
+    return out
 
 
-def _exp_for_sum(x, x_min=None) -> np.ndarray:
-    """Overwrite the float64 vector ``x`` with np.exp(x), for callers
-    that read only its sum.
+def _exp_for_sum(x, x_min=None, out=None) -> np.ndarray:
+    """np.exp(x) of the float64 vector ``x`` into ``out`` (x itself by
+    default), for callers that read only its sum, or sums of its lanes
+    times bounded factors.
 
     On vectors of at least _EXP_SPLIT_MIN_SIZE entries, arguments below
     _EXP_FAST_MIN are raised to it before the vector exp runs, so their
@@ -210,12 +223,18 @@ def _exp_for_sum(x, x_min=None) -> np.ndarray:
     has np.exp's bits.  ``x_min``, x's minimum or an estimate of it,
     skips the raise where it is >= _EXP_FAST_MIN.
     """
+    if out is None:
+        out = x
     if x.size >= _EXP_SPLIT_MIN_SIZE and (x_min is None or x_min < _EXP_FAST_MIN):
-        np.maximum(x, _EXP_FAST_MIN, out=x)  # nan stays nan
-    return np.exp(x, out=x)
+        x = np.maximum(x, _EXP_FAST_MIN, out=out)  # nan stays nan
+    return np.exp(x, out=out)
 
 
 _NORMAL_MIN = 2.0**-1022
+# A sum-only exp pass moves the sums `_LogSupport.slope` reads by less
+# than n * (1 + |lo|) * 2**-1019; where one of them is below this bound,
+# that is more than rounding, and the pass is made again exactly.
+_SUM_ONLY_MIN = 2.0**-900
 _LOG2 = math.log(2.0)
 # exp overflows float64 above this
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -243,12 +262,13 @@ class _LogSupport:
     __slots__ = ("w", "x", "m", "i", "lo", "a", "s", "_lo", "_k", "_top")
 
     def __init__(self, w, name="w"):
-        w, lo, hi = _validate(w, name)
+        w, lo, hi, top = _validate(w, name)
         k = 1 - math.frexp(hi)[1]  # hi * 2**k in [1, 2)
         if k < 0 and not math.ldexp(lo, k) >= _NORMAL_MIN:
             k = 0
         self.w, self._lo, self._k, self._top = w, lo, k, 0.0
-        self._top = self._shift(self._log())
+        # log is monotone, so w's maximum is x's; with zeros x is shorter
+        self._top = self._shift(self._log(), top if lo > 0 else None)
         self.m = math.log(hi)
         self.lo = math.log(lo) - self.m if lo > 0 else float(_min(self.x))
 
@@ -265,12 +285,13 @@ class _LogSupport:
         sup.lo = float(_min(sup.x)) if lx.size >= _EXP_SPLIT_MIN_SIZE else -math.inf
         return sup
 
-    def _shift(self, x) -> float:
+    def _shift(self, x, i=None) -> float:
         """Take ``x`` as the support's x, shifted in place by its maximum at
-        index i, and return that maximum.  A maximum that is not finite
-        (every weight zero, or one overflowed) leaves x unshifted, so that
-        L and psi are as infinite or nan as the sum itself."""
-        self.i = int(x.argmax())
+        index i (x.argmax() unless given), and return that maximum.  A
+        maximum that is not finite (every weight zero, or one overflowed)
+        leaves x unshifted, so that L and psi are as infinite or nan as the
+        sum itself."""
+        self.i = int(x.argmax()) if i is None else i
         top = float(x[self.i])
         if math.isfinite(top):
             x -= top
@@ -290,26 +311,35 @@ class _LogSupport:
             x -= self._top
         return x
 
+    def _power(self, gamma, exp, out) -> np.ndarray:
+        """exp(gamma * x) by the exp rule ``exp`` into ``out`` (a new array
+        if None), with the maximum's lane i zeroed: the exp array a, and
+        its sum s.  At gamma = 1 x goes to the exp as it is."""
+        x = self.x
+        if gamma != 1.0:
+            x = out = np.multiply(x, gamma, out=out)
+        elif out is None:
+            out = np.empty_like(x)
+        a = exp(x, gamma * self.lo, out)
+        a[self.i] = 0.0
+        self.a, self.s = a, float(np.add.reduce(a))  # what a.sum() calls
+        return a
+
     def log1p_sum(self, gamma, in_place=False) -> float:
         """L(gamma) = log1p(sum_{j != i} exp(gamma * x_j)) >= 0, so that
         psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma).  Only the
         maximum at i is left out of the sum: one tying with it adds 1,
-        and log1p of a sum >= 1 needs no tie count.  With ``in_place``
-        the exp array overwrites x, so the support cannot be used again,
-        and only its sum may be read (see `_exp_for_sum`)."""
-        if in_place:
-            a = self.x if gamma == 1.0 else np.multiply(self.x, gamma, out=self.x)
-            _exp_for_sum(a, gamma * self.lo)
-        else:
-            a = _exp_inplace(np.multiply(self.x, gamma, out=self.a), gamma * self.lo)
-        a[self.i] = 0.0
-        self.a, self.s = a, float(np.add.reduce(a))  # what a.sum() calls
+        and log1p of a sum >= 1 needs no tie count.  The exp array a is
+        taken by `_exp_for_sum`: only its sum, or sums of its lanes times
+        bounded factors, may be read.  With ``in_place`` it overwrites x,
+        so the support cannot be used again."""
+        self._power(gamma, _exp_for_sum, self.x if in_place else self.a)
         return math.log1p(self.s)
 
     def escort(self, gamma) -> np.ndarray:
-        """The gamma-escort w^gamma / sum w^gamma, in the exp array."""
-        self.log1p_sum(gamma)
-        a = self.a
+        """The gamma-escort w^gamma / sum w^gamma, in the exp array, from an
+        exact exp pass of its own (see `_exp_inplace`)."""
+        a = self._power(gamma, _exp_inplace, self.a)
         a[self.i] = 1.0
         a /= 1.0 + self.s
         return a
@@ -326,11 +356,25 @@ class _LogSupport:
         has rounded R itself away, and the plain difference of L(b + h) and
         L(b), at least log 2 apart, keeps it.  By Jensen R >= exp(h e . x),
         so only pairs with h e . x < -log 2 try the difference first.
+        The b-escort's array a is the sum-only one of `log1p_sum`: every
+        factor that multiplies its lanes here is at most 1 + |lo| in size,
+        so a raised lane moves s, a . x and a . expm1(h x) by less than
+        n (1 + |lo|) 2**-1019.  Where s or |a . x| is below 2**-900, that
+        is more than their rounding, and the pass is made again exactly;
+        above it, D keeps the digits an exact pass gives it, since
+        |D| >= |a . x| / (norm max(1, h |lo|)) times a constant.
         Consumes x."""
         b, h = min(alpha, beta), abs(alpha - beta)
         lb = self.log1p_sum(b)
-        a, x, norm = self.a, self.x, 1.0 + self.s
-        mean = float(a @ x) / norm
+        a, x = self.a, self.x
+        dot = float(a @ x)
+        raised = x.size >= _EXP_SPLIT_MIN_SIZE and b * self.lo < _EXP_FAST_MIN
+        if raised and min(self.s, -dot) < _SUM_ONLY_MIN:
+            # a tiny sum, or tied maxima at w = 1 over an underflowing tail
+            a = self._power(b, _exp_inplace, a)
+            lb, dot = math.log1p(self.s), float(a @ x)
+        norm = 1.0 + self.s
+        mean = dot / norm
         if h < 2.0**-969:
             # h x would be subnormal for the smallest nonzero |x| (about
             # 2**-53), and |D - mean| <= h |lo| |mean| / 2 is below rounding

@@ -8,8 +8,10 @@ import mp_reference as R
 from lne import (
     EntropyParams,
     SupportError,
+    crossent,
     lnce,
     log_norm,
+    numkit,
 )
 
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -264,3 +266,78 @@ class TestLongVectors:
             assert log_space == (branch == "L"), (a, b)
             self._check(p, q, a, b)
 
+
+
+class TestBranchBounds:
+    """With a positive prior, `_lnce` picks its branch from bounds on
+    range(y), y = x - log q, where they decide it: range(y) lies within
+    -lo -+ log(q_max / q_min).  Only where they do not does it scan y.
+    Its pick must be the scan's, with the same bits, on both sides of the
+    branch threshold |d| range(y) + log(k) = log(DBL_MAX) and next to it."""
+
+    N = 4096
+
+    @staticmethod
+    def _lnce(monkeypatch, p, q, prm, scan=False):
+        """(lnce's bits, scans of y, whether it took the expm1 branch);
+        ``scan`` forces the scan by bounds that decide nothing."""
+        seen = {"scan": 0, "expm1": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                seen[key] += 1
+                return fn(*args)
+
+            return call
+
+        with monkeypatch.context() as m:
+            # with a positive prior, _lnce takes the minimum of y only to scan
+            m.setattr(crossent, "_min", counted("scan", numkit._min))
+            m.setattr(crossent, "_exp_inplace", counted("expm1", numkit._exp_inplace))
+            if scan:
+                m.setattr(crossent, "_range_bounds", lambda *args: (0.0, math.inf))
+            value = float(lnce(p, q, prm)).hex()
+        return value, seen["scan"], seen["expm1"] > 0
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_bounds_pick_the_scans_branch(self, monkeypatch, uniform):
+        p = np.resize([1.0, 0.3, 1e-3, 1e-200], self.N)
+        p /= p.sum()
+        q = np.full(self.N, 1.0) if uniform else np.resize([0.2, 0.3, 0.4, 0.1], self.N)
+        q *= p.sum() / q.sum()
+        # range(y) as the scan takes it, and the |d| at the threshold
+        y = numkit._LogSupport(p).x - np.log(q)
+        spread = y.max() - y.min()
+        d_edge = (LOG_FLOAT_MAX - math.log(self.N)) / spread
+        decided = 0
+        for t in (-0.5, -1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-3, 0.5):
+            d = d_edge * (1.0 + t)
+            for a, b in ((2.0 + d, 2.0), (8.0 - d, 8.0)):
+                expm1 = abs(a - b) * spread + math.log(self.N) <= LOG_FLOAT_MAX
+                got, scans, got_expm1 = self._lnce(monkeypatch, p, q, (a, b))
+                want, forced, _ = self._lnce(monkeypatch, p, q, (a, b), scan=True)
+                assert forced == 1 and scans <= 1
+                assert got == want and got_expm1 == expm1, (t, a, b)
+                if abs(t) >= (1e-6 if uniform else 0.5):
+                    assert scans == 0, (t, a, b)  # the bounds decide
+                decided += scans == 0
+        # a uniform prior gives bounds as tight as their slack of 2**-30
+        assert decided == (12 if uniform else 4)
+
+    def test_zero_priors_scan(self, monkeypatch):
+        def no_bounds(*args):
+            raise AssertionError("a zero prior takes no bounds")
+
+        monkeypatch.setattr(crossent, "_range_bounds", no_bounds)
+        p = np.resize([1.0, 0.3, 1e-3, 1e-200], self.N)
+        p /= p.sum()
+        q = np.resize([0.2, 0.3, 0.4, 0.1], self.N)
+        q_zero = np.where(np.arange(self.N) % 7 == 3, 0.0, q)  # on p's support
+        p_zero = np.where(np.arange(self.N) % 5 == 2, 0.0, p)  # q = 0 only off p's support
+        p_zero /= p_zero.sum()
+        for p, q, pairs in (
+            (p, q_zero, ((0.5, 2.0), (0.3, 6.0))),
+            (p_zero, np.where(p_zero > 0, q, 0.0), ((0.5, 2.0), (2.0, 2.0), (6.0, 0.3))),
+        ):
+            for prm in pairs:
+                assert np.isfinite(float(lnce(p, q * (p.sum() / q.sum()), prm)))

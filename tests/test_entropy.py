@@ -319,3 +319,66 @@ class TestGeneralizedMeanBound:
             gm_subadditivity_rhs([0.5, 0.5], [0.5, 0.5], (2.0, 1.0))  # mass > 1
         with pytest.raises(ValueError):
             gm_subadditivity_rhs([0.25, 0.25], [0.25, 0.25], (2.0, 2.0))
+
+
+class TestLongVectors:
+    """The families `_LogSupport.slope` serves, on vectors of 4096 entries
+    whose exp pass at the smaller order b has arguments below -707
+    (b * lo < -707, lo = log(min w / max w)).  The slope reads that pass's
+    array by the sum-only rule, whose raised lanes move its sums by less
+    than n (1 + |lo|) 2**-1019, and makes the pass again exactly where the
+    sum s or the escort mean's numerator is below 2**-900.  Values are held
+    to the mpmath reference at 5e-13, as the long vectors of
+    `tests/test_numkit.py` are; the vectors tile a few distinct values,
+    which keeps the reference cheap."""
+
+    N = 4096
+    TOL = 5e-13
+
+    @classmethod
+    def _tile(cls, values):
+        return np.resize(np.asarray(values, dtype=float), cls.N)
+
+    @classmethod
+    def _check(cls, got, ref, b, w, *where):
+        lo = math.log(w[w > 0].min() / w.max())
+        assert b * lo < -707.0, (b, lo)  # the pass raises arguments
+        err = R.rel_err(got, ref)
+        assert err <= cls.TOL, (err, float(got), float(ref), *where)
+
+    def test_every_family_with_raised_lanes(self):
+        vectors = {
+            # a bulk of order one and a tail at 1e-200: 2 * lo = -921
+            "tail": self._tile([1.0, 0.3, 1e-3, 1e-200]),
+            # x below -707 at b = 1, as renyi, shannon and tsallis take it
+            "subnormal tail": self._tile([0.5, 0.2, 1e-3, 1e-310]),
+            # tied maxima at w = 1 (m = 0) over a tail whose escort
+            # weights underflow: the escort mean's numerator is below 2**-900
+            "tied maxima": self._tile([1.0, 1.0, 1e-200]),
+            "one maximum": np.array([1.0] + [1e-151] * 100 + [1e-200] * (self.N - 101)),
+        }
+        for name, w in vectors.items():
+            b = 1.0 if name == "subnormal tail" else 2.0
+            for a in (b, b * (1.0 + 1e-9), 2.5 * b, 20.0 * b):
+                self._check(lne(w, (a, b)), R.lne(w, a, b), b, w, "lne", name, a)
+                if a != b:
+                    self._check(kapur(w, a, b), R.kapur(w, a, b), b, w, "kapur", name, a)
+                    self._check(norm_entropy(w, a, b), R.norm_entropy(w, a, b), b, w, "norm", name, a)
+            self._check(aczel_daroczy(w, b), R.aczel_daroczy(w, b), b, w, "aczel_daroczy", name)
+            p = w / w.sum()
+            half = p / 2.0
+            self._check(gm_subadditivity_rhs(half, half[::-1], (2.5 * b, b)),
+                        R.gm_subadditivity_rhs(half, half[::-1], 2.5 * b, b), b, w, "gm", name)
+            if b == 1.0:
+                self._check(shannon(w), R.shannon(w), b, w, "shannon", name)
+                for a in (2.0, 1.0 + 1e-9):
+                    self._check(renyi(w, a), R.renyi(w, a), b, w, "renyi", name, a)
+                    self._check(tsallis(p, a), R.tsallis(p, a), b, p, "tsallis", name, a)
+
+    def test_tiny_sum_is_taken_exactly(self):
+        # L(2) = 100 * 1e-302 = 1e-300 and lne = 5.0e-300: the 3995 raised
+        # lanes would add 3995 * exp(-707) = 3.6e-304 to the sum
+        w = np.array([1.0] + [1e-151] * 100 + [1e-200] * (self.N - 101))
+        got, ref = lne(w, (2.5, 2.0)), R.lne(w, 2.5, 2.0)
+        assert 4.9e-300 < float(ref) < 5.1e-300
+        assert R.rel_err(got, ref) <= 1e-13, (float(got), float(ref))

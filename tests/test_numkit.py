@@ -17,6 +17,7 @@ from lne import (
     lne_min_entropy_limit,
     log_norm,
     majorizes,
+    norm_entropy,
     product_compose,
     renyi,
     robin_hood_transfer,
@@ -191,6 +192,27 @@ class TestKernelMemory:
             peak = self._peak(call) / (8 * self.N)
             assert peak <= 2.5, (name, peak)
 
+    def test_sum_only_exp_array_on_a_tail(self):
+        # a tail down to 1e-200 puts 2 x below -707 on a quarter of the
+        # entries: the slope families read their exp array by the sum-only
+        # rule and hold no mask beside it; escort's exact pass holds two
+        rng = np.random.default_rng(27)
+        w = rng.uniform(0.05, 1.0, self.N)
+        tail = rng.random(self.N) < 0.25
+        w[tail] = 10.0 ** rng.uniform(-200.0, -1.0, int(tail.sum()))
+        calls = {
+            "lne": lambda: lne(w, (6.0, 2.0)),
+            "lne diagonal": lambda: lne(w, (2.0, 2.0)),
+            "lne plain difference": lambda: lne(w, (40.0, 2.0)),
+            "kapur": lambda: kapur(w, 6.0, 2.0),
+            "norm_entropy": lambda: norm_entropy(w, 6.0, 2.0),
+            "aczel_daroczy": lambda: aczel_daroczy(w, 2.0),
+        }
+        for name, call in calls.items():
+            peak = self._peak(call) / (8 * self.N)
+            assert peak <= 2.05, (name, peak)
+        assert self._peak(lambda: escort(w, 2.0)) / (8 * self.N) <= 2.5
+
     def test_shannon_peak(self):
         rng = np.random.default_rng(24)
         p = rng.uniform(0.05, 1.0, self.N)
@@ -331,6 +353,17 @@ class TestSupportSummary:
                 # log_norm = m + L / gamma overflows here, as the reference does
                 self._check(kapur(x, gamma, 2.0), R.kapur(x, gamma, 2.0), 1e-13, gamma, x)
                 self._check(log_norm(x, gamma), R.log_norm(x, gamma), 1e-13, gamma, x)
+
+    def test_maximum_index_is_taken_from_w(self):
+        # without zeros the support takes i from w's argmax, not from a
+        # second pass over x: log is monotone, so x[i] = 0 = max x, also
+        # where the largest entries are a few ulps apart and log w * 2**k
+        # is near log 2, one ulp of w to one ulp of its log
+        for top in (2.0 - 2.0**-52, 1.0, 1.5, 3e-300, 7e200):
+            near = top - np.spacing(top) * np.arange(6.0)
+            w = np.concatenate([near[::-1], near, [top * 1e-3]])
+            sup = _LogSupport(w)
+            assert sup.i == int(np.argmax(w)) and sup.x[sup.i] == 0.0 == sup.x.max(), top
 
     def test_tied_maxima_at_any_order(self):
         # one maximum is left out of each sum and the others add 1 each,

@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -115,3 +116,59 @@ def test_abpairs_l3_alternates_the_sides(monkeypatch):
                                                             **dict.fromkeys(abpairs.L3_TIMES, 1.0)})
     with pytest.raises(SystemExit, match="base tree's counts differ"):
         abpairs.l3_row({"base": "base", "head": "head"}, 3)
+
+
+def test_abpairs_interleave_alternates_the_sides_in_one_process(tmp_path):
+    # two stub trees, each with an `lne` package of its own, imported side
+    # by side; an op advances a fake clock by its side's cost, so the
+    # times are exact, and logs which side ran it
+    for side, cost in (("base", 2.0), ("head", 1.0)):
+        pkg = tmp_path / side / "src" / "lne"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("from .ops import *\n")
+        (pkg / "ops.py").write_text(
+            f"COST = {cost}\n"
+            "def op(clock, log, j):\n"
+            "    log.append((__name__.split('.')[0], j))\n"
+            "    clock.now += COST * (j + 1)\n"
+            "def bad(clock, log, j):\n"
+            "    log.append((__name__.split('.')[0], j))\n"
+            "    raise ValueError(j)\n"
+        )
+
+    class Clock:
+        now = 0.0
+
+        def __call__(self):
+            return self.now
+
+    clock, log = Clock(), []
+    names = ("lne_stub_base", "lne_stub_head")
+    try:
+        pkgs = {side: abpairs.load_package(str(tmp_path / side), name) for side, name in zip(("base", "head"), names)}
+        assert (pkgs["base"].ops.COST, pkgs["head"].ops.COST) == (2.0, 1.0)
+        pool = [types.SimpleNamespace(fn=fn, args=(clock, log, j)) for j, fn in enumerate(("op", "op", "bad"))]
+        calls = {side: abpairs.pool_calls("eval-large", pool, pkg) for side, pkg in pkgs.items()}
+        times, failed = abpairs.interleave(calls, 2, clock=clock)
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in names]:
+            del sys.modules[name]
+    # an untimed round, then two timed ones; the first side alternates
+    # from entry to entry and from round to round
+    b, h = "lne_stub_base", "lne_stub_head"
+    assert log == [(h, 0), (b, 0), (b, 1), (h, 1), (h, 2), (b, 2)] + [
+        (b, 0), (h, 0), (h, 1), (b, 1), (b, 2), (h, 2),
+        (h, 0), (b, 0), (b, 1), (h, 1), (h, 2), (b, 2),
+    ]
+    assert times == {"base": [[2.0, 2.0], [4.0, 4.0], [0.0, 0.0]], "head": [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]}
+    assert failed == {"base": 2, "head": 2}  # the untimed round's failures do not count
+    row = {"workload": "eval-large", "seed": 1, "rounds": 2,
+           **abpairs.interleave_summary([c.fn for c in pool], times, failed)}
+    assert row["ops"] == {"op": {"base": 3000.0, "head": 1500.0, "ratio": 0.5},
+                          "bad": {"base": 0.0, "head": 0.0, "ratio": None}}
+    # the p90 is the benchmark's nearest rank: the 6th of 6 samples
+    assert row["pool"]["base"] == {"op_p50_ms": 2000.0, "op_tail_ms": 4000.0, "samples": 6}
+    assert row["pool"]["head"] == {"op_p50_ms": 1000.0, "op_tail_ms": 2000.0, "samples": 6}
+    lines = abpairs.summary_lines({"runs": [], "pooled": {}, "interleave": [row], "l3": []})
+    assert lines == ["eval-large seed 1 interleaved x2: op_p50_ms 2000 -> 1000 (0.500x), op_tail_ms 4000 -> 2000 "
+                     "(0.500x), failed 2 -> 2; op 3e+03 -> 1.5e+03, bad 0 -> 0"]

@@ -21,6 +21,16 @@ the summary line: on a 2-core host that workload settles in one of two
 glibc heap-trim states, 76.8 or 82.4 MB, whose ``op_p50_ms`` differ by
 25-35 %, so such a pair compares the allocator's states and not the code.
 
+``--interleave WORKLOAD:SEEDS:ROUNDS`` times both trees in one process,
+which keeps glibc's heap state and the host's drift off the comparison:
+the ``lne`` package of each tree is imported under a name of its own
+(``lne_base``, ``lne_head``), the seed's pool of an ``eval-*`` or
+``solve`` workload is built once, every entry runs once on each side
+untimed, and then ROUNDS times on each, the side that goes first
+alternating from entry to entry and round to round.  Its row gives each
+side's median time per op name and the p50 and p90 over all timed ops,
+as ``op_p50_ms`` and ``op_tail_ms`` take them, and the ops that raised.
+
 ``--l3-seeds`` adds the solver layer (L3) for those solve-pool seeds:
 every pool entry is solved once in each tree with the solver's private
 ``_log_weights`` wrapped by a counter, which gives Newton steps and
@@ -42,6 +52,8 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import io
 import json
 import os
@@ -52,9 +64,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import worker  # noqa: E402  (the benchmark's own pool calls and latency statistics)
 from run import machine_metadata  # noqa: E402  (the benchmark's own, as its results record it)
 
 # Run inside a tree by the L3 pass: argv is (tree, seed), and it prints one
@@ -182,6 +196,82 @@ def l3_row(trees, seed):
     return row
 
 
+def load_package(tree, name):
+    """The ``lne`` package of ``tree``/src imported as the package ``name``,
+    so that two trees' packages live side by side in one process (its
+    modules import one another relatively)."""
+    init = os.path.join(tree, "src", "lne", "__init__.py")
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[os.path.dirname(init)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    try:
+        spec.loader.exec_module(pkg)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return pkg
+
+
+def pool_calls(workload, pool, pkg):
+    """The pool's calls into ``pkg``, built as the benchmark's worker
+    builds them."""
+    if workload == "solve":
+        return worker.SolveAdapter(pool, pkg).calls(pkg)
+    return [functools.partial(getattr(pkg, c.fn), *c.args) for c in pool]
+
+
+def interleave(calls, rounds, clock=time.perf_counter):
+    """({side: [[time of entry j in each round] for j]}, {side: ops that
+    raised}) of ``calls`` = {side: the same pool's calls}: one untimed
+    call of every entry on each side, then ``rounds`` timed ones, the
+    side that goes first alternating over entries and rounds."""
+    sides = ("base", "head")
+    times = {side: [[] for _ in calls["base"]] for side in sides}
+    failed = dict.fromkeys(sides, 0)
+    for r in range(-1, rounds):
+        for j in range(len(calls["base"])):
+            for side in sides if (r + j) % 2 == 0 else sides[::-1]:
+                t0 = clock()
+                try:
+                    calls[side][j]()
+                except Exception:  # noqa: BLE001 - a failed op is timed and counted, as the benchmark does
+                    failed[side] += r >= 0
+                if r >= 0:
+                    times[side][j].append(clock() - t0)
+    return times, failed
+
+
+def interleave_summary(names, times, failed):
+    """Per op name each side's median ms, and each side's ``op_p50_ms``
+    and ``op_tail_ms`` (p90) over every timed op, as the benchmark takes
+    them."""
+    ops = {}
+    for name in dict.fromkeys(names):
+        med = {side: 1e3 * statistics.median(t for j, n in enumerate(names) if n == name for t in times[side][j])
+               for side in times}
+        ops[name] = {**med, "ratio": med["head"] / med["base"] if med["base"] else None}
+    pool = {}
+    for side, per_entry in times.items():
+        stats = worker.latency_stats([t for ts in per_entry for t in ts], 1.0)
+        pool[side] = {k: stats[k] for k in ("op_p50_ms", "op_tail_ms", "samples")}
+    for k in ("op_p50_ms", "op_tail_ms"):
+        pool[k + "_ratio"] = pool["head"][k] / pool["base"][k]
+    return {"ops": ops, "pool": pool, "failed": failed}
+
+
+def interleave_row(trees, workload, seed, rounds):
+    """The interleaved row of one workload and seed (see the module's doc)."""
+    import workloads
+
+    if workload not in ("eval-small", "eval-large", "solve"):
+        raise SystemExit(f"--interleave runs eval-small, eval-large or solve, not {workload}")
+    pool = workloads.POOLS[workload](seed)
+    calls = {side: pool_calls(workload, pool, load_package(tree, f"lne_{side}")) for side, tree in trees.items()}
+    times, failed = interleave(calls, rounds)
+    return {"workload": workload, "seed": seed, "rounds": rounds,
+            **interleave_summary([c.fn for c in pool], times, failed)}
+
+
 def _spread(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
     return {"median": q2, "q1": q1, "q3": q3}
@@ -239,6 +329,14 @@ def summary_lines(result):
             flagged = sum(len(r.get("rss_mismatch_pairs", [])) for r in result["runs"] if r["workload"] == workload)
             line += f", peak_rss_mb sides differ in {flagged} of {m['pairs']} pairs"
         lines.append(line)
+    for row in result.get("interleave", []):
+        pool = row["pool"]
+        ops = ", ".join(f"{name} {op['base']:.3g} -> {op['head']:.3g}" for name, op in row["ops"].items())
+        lines.append(f"{row['workload']:10s} seed {row['seed']} interleaved x{row['rounds']}: "
+                     f"op_p50_ms {pool['base']['op_p50_ms']:.4g} -> {pool['head']['op_p50_ms']:.4g} "
+                     f"({pool['op_p50_ms_ratio']:.3f}x), op_tail_ms {pool['base']['op_tail_ms']:.4g} -> "
+                     f"{pool['head']['op_tail_ms']:.4g} ({pool['op_tail_ms_ratio']:.3f}x), "
+                     f"failed {row['failed']['base']} -> {row['failed']['head']}; {ops}")
     for row in result["l3"]:
         b, h = row["base"], row["head"]
         by_m = ", ".join(f"m = {m}: {b['small_step_us_median_by_m'][m]:.1f} -> {us:.1f}"
@@ -263,11 +361,13 @@ def main(argv=None):
     ap.add_argument("--base", default="HEAD~1", help="the parent commit (default HEAD~1)")
     ap.add_argument("--head", default="HEAD", help="the change's commit (default HEAD)")
     ap.add_argument("--run", action="append", type=_parse_run, default=[], metavar="WORKLOAD:SEEDS:PAIRS")
+    ap.add_argument("--interleave", action="append", type=_parse_run, default=[],
+                    metavar="WORKLOAD:SEEDS:ROUNDS", help="both trees in one process, alternating per pool entry")
     ap.add_argument("--seconds", type=float, help="seconds per benchmark run (default: BENCHMARK.json's)")
     ap.add_argument("--l3-seeds", default="", help="solve-pool seeds for the L3 counts, e.g. 1,2,3")
     args = ap.parse_args(argv)
-    if not args.run and not args.l3_seeds:
-        ap.error("nothing to run: give --run or --l3-seeds")
+    if not args.run and not args.interleave and not args.l3_seeds:
+        ap.error("nothing to run: give --run, --interleave or --l3-seeds")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -286,6 +386,7 @@ def main(argv=None):
         "loadavg_before": os.getloadavg(),
         "runs": [],
         "pooled": {},
+        "interleave": [],
         "l3": [],
     }
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so that `finally` removes the trees
@@ -320,6 +421,9 @@ def main(argv=None):
                 result["pooled"][workload] = {
                     name: summarize(pool[name]["base"], pool[name]["head"], how) for name, how in better.items()
                 }
+        for workload, seeds, rounds in args.interleave:
+            for seed in seeds:
+                result["interleave"].append(interleave_row(trees, workload, seed, rounds))
         for seed in [int(s) for s in args.l3_seeds.split(",") if s]:
             result["l3"].append(l3_row(trees, seed))
     finally:
