@@ -253,10 +253,11 @@ class _LogSupport:
     the difference between 1e-12 and 1e-14.  Scaling down is skipped
     where it would round an entry.  ``lo`` is log(min w) - m or, with
     zeros in w, min(x): gamma * lo tells an exp pass whether it has
-    underflowing lanes.  `log1p_sum` leaves its exp array ``a`` and that
-    array's sum ``s``, which `escort` and `slope` use instead of a second
-    exp pass.  ``w`` is the validated float64 vector.  A support built
-    by `from_log` has no ``w``.
+    underflowing lanes.  `log1p_sum` and `escort` leave their exp array
+    ``a`` and that array's sum ``s``: `slope` reads them instead of a
+    second exp pass, and the solver reads L from ``s`` after `escort`.
+    ``w`` is the validated float64 vector.  A support built by
+    `from_log` has no ``w``.
     """
 
     __slots__ = ("w", "x", "m", "i", "lo", "a", "s", "_lo", "_k", "_top")

@@ -328,9 +328,9 @@ class TestLongVectors:
     array by the sum-only rule, whose raised lanes move its sums by less
     than n (1 + |lo|) 2**-1019, and makes the pass again exactly where the
     sum s or the escort mean's numerator is below 2**-900.  Values are held
-    to the mpmath reference at 5e-13, as the long vectors of
-    `tests/test_numkit.py` are; the vectors tile a few distinct values,
-    which keeps the reference cheap."""
+    to the mpmath reference at 5e-13, as `lne` is on the long vectors of
+    `tests/test_numkit.py`; the vectors tile a few distinct values, which
+    keeps the reference cheap."""
 
     N = 4096
     TOL = 5e-13

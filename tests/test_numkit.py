@@ -195,7 +195,7 @@ class TestKernelMemory:
     def test_sum_only_exp_array_on_a_tail(self):
         # a tail down to 1e-200 puts 2 x below -707 on a quarter of the
         # entries: the slope families read their exp array by the sum-only
-        # rule and hold no mask beside it; escort's exact pass holds two
+        # rule and hold no mask beside it; escort's exact pass holds its two
         rng = np.random.default_rng(27)
         w = rng.uniform(0.05, 1.0, self.N)
         tail = rng.random(self.N) < 0.25
