@@ -134,8 +134,8 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
     dropped states carry more of the escort than the kept ones, the sum
     rests on entries far out in y, whose escort weights may underflow,
     and it is taken in log space, as m + L(1) of the log weights
-    u = beta x + d y formed over y, -inf on the masked lanes; L(beta)
-    then comes from a sum-only exp pass over beta x (see `_exp_for_sum`)."""
+    u = beta x + d y formed over y, -inf on the masked lanes, and L(beta)
+    from a sum-only exp pass over beta x, each exact however small."""
     alpha, beta = prm.alpha, prm.beta
     d = alpha - beta
     p, x = sup.w, sup.x
@@ -172,12 +172,10 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
         expm1 = abs(d) * (y[y.argmax()] - _min(y)) + log_k <= _LOG_FLOAT_MAX
     if expm1:
         # exp(beta x): L(beta), and the kept escort times norm
-        a = _exp_inplace(np.multiply(x, beta, out=x), beta * sup.lo)
-        a[sup.i] = 0.0
-        s = float(a.sum())
-        l_beta = math.log1p(s)  # psi(beta) = beta * m + l_beta
+        a = sup._power(beta, _exp_inplace, x)
+        l_beta = math.log1p(sup.s)  # psi(beta) = beta * m + l_beta
         a[sup.i] = 1.0
-        norm, dropped = 1.0 + s, 0.0
+        norm, dropped = 1.0 + sup.s, 0.0
         if drop is not None:
             # a masked sum: a[drop] would copy up to the whole support
             dropped = float(np.add.reduce(a, where=drop))
@@ -203,6 +201,6 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
     if not expm1:
         a = _exp_for_sum(bx, beta * sup.lo)
         a[sup.i] = 0.0
-        l_beta = math.log1p(float(a.sum()))
-    sup_u = _LogSupport.from_log(y)
-    return beta * (sup_u.m + sup_u.log1p_sum(1.0, in_place=True) - l_beta) / d - l_beta
+        l_beta = sup._log1p_exact(beta, a, float(a.sum()))
+    sup_u = _LogSupport.from_log(y)  # its exp array goes into x, keeping u
+    return beta * (sup_u.m + sup_u.log1p_sum(1.0, x) - l_beta) / d - l_beta

@@ -35,7 +35,6 @@ from .numkit import (
     _LOG_FLOAT_MAX,
     _as_params,
     _check_order,
-    _exp_inplace,
     _LogSupport,
     as_weights,
 )
@@ -114,7 +113,7 @@ def tsallis(w, q) -> EntropyValue:
     if sup is None:
         a = np.log(w[w > 0])
         a *= q
-        s = float(_exp_inplace(a).sum())
+        s = float(np.exp(a, out=a).sum())
         return EntropyValue((1.0 - s) / (q - 1.0), "tsallis", (q,))
     c = _kapur(sup, q, 1.0)  # (psi(1) - psi(q)) / (q - 1)
     val = c if q == 1.0 else -math.expm1((1.0 - q) * c) / (q - 1.0)
@@ -188,7 +187,8 @@ def lne_min_entropy_limit(w, beta) -> EntropyValue:
     beta * [-log(max w) + log||w||_beta] = L(beta): a scale-invariant
     min-entropy."""
     beta = _check_order(beta, "beta")
-    return EntropyValue(_LogSupport(w).log1p_sum(beta, in_place=True), "min_entropy_scaled", (beta,))
+    sup = _LogSupport(w)
+    return EntropyValue(sup.log1p_sum(beta, sup.x), "min_entropy_scaled", (beta,))
 
 
 def gm_subadditivity_rhs(p, q, params) -> float:

@@ -60,9 +60,9 @@ norm of `slope`, read through s, a . x and a . expm1(h x), with
 which raises those results to exp(-707), about 2**-1020, and nothing
 else: each sum moves by less than n * (1 + |lo|) * 2**-1019, which is
 below its rounding once it is at least 2**-900 (a sum >= 1 keeps its
-bits).  `slope` makes its pass again exactly where s or |a . x| is
-smaller than that.  Vectors of fewer than 2048 entries go to np.exp as
-they are in both: the slow path costs them less than avoiding it.
+bits).  A pass that raised lanes is made again exactly where its sum s,
+or |a . x| in `slope`, is below that.  Under 2048 entries both rules are
+plain np.exp: there the slow path costs less than avoiding it.
 """
 
 from __future__ import annotations
@@ -231,9 +231,9 @@ def _exp_for_sum(x, x_min=None, out=None) -> np.ndarray:
 
 
 _NORMAL_MIN = 2.0**-1022
-# A sum-only exp pass moves the sums `_LogSupport.slope` reads by less
-# than n * (1 + |lo|) * 2**-1019; where one of them is below this bound,
-# that is more than rounding, and the pass is made again exactly.
+# A sum-only exp pass moves the sums read from it by less than
+# n * (1 + |lo|) * 2**-1019; where one of them is below this bound, that
+# is more than rounding, and the pass is made again exactly.
 _SUM_ONLY_MIN = 2.0**-900
 _LOG2 = math.log(2.0)
 # exp overflows float64 above this
@@ -326,16 +326,30 @@ class _LogSupport:
         self.a, self.s = a, float(np.add.reduce(a))  # what a.sum() calls
         return a
 
-    def log1p_sum(self, gamma, in_place=False) -> float:
+    def _raised(self, gamma) -> bool:
+        """Whether a sum-only exp pass at gamma raises lanes."""
+        return self.x.size >= _EXP_SPLIT_MIN_SIZE and gamma * self.lo < _EXP_FAST_MIN
+
+    def _log1p_exact(self, gamma, a, s) -> float:
+        """log1p(s), s the sum of a sum-only exp pass at gamma into a, which
+        is made again exactly where s < _SUM_ONLY_MIN and it raised lanes
+        (over x taken again from w, where the pass consumed it)."""
+        if s < _SUM_ONLY_MIN and self._raised(gamma):
+            if a is self.x:
+                self._log(out=a)
+            self._power(gamma, _exp_inplace, a)
+            s = self.s
+        return math.log1p(s)
+
+    def log1p_sum(self, gamma, out=None) -> float:
         """L(gamma) = log1p(sum_{j != i} exp(gamma * x_j)) >= 0, so that
         psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma).  Only the
         maximum at i is left out of the sum: one tying with it adds 1,
-        and log1p of a sum >= 1 needs no tie count.  The exp array a is
-        taken by `_exp_for_sum`: only its sum, or sums of its lanes times
-        bounded factors, may be read.  With ``in_place`` it overwrites x,
-        so the support cannot be used again."""
-        self._power(gamma, _exp_for_sum, self.x if in_place else self.a)
-        return math.log1p(self.s)
+        and log1p of a sum >= 1 needs no tie count.  The exp array a, into
+        ``out`` (a new array if None), is `_log1p_exact`'s: only its sum, or
+        sums of its lanes times bounded factors, may be read.  With out = x
+        it consumes x, and the support needs a ``w``."""
+        return self._log1p_exact(gamma, self._power(gamma, _exp_for_sum, out), self.s)
 
     def escort(self, gamma) -> np.ndarray:
         """The gamma-escort w^gamma / sum w^gamma, in the exp array, from an
@@ -357,21 +371,20 @@ class _LogSupport:
         has rounded R itself away, and the plain difference of L(b + h) and
         L(b), at least log 2 apart, keeps it.  By Jensen R >= exp(h e . x),
         so only pairs with h e . x < -log 2 try the difference first.
-        The b-escort's array a is the sum-only one of `log1p_sum`: every
-        factor that multiplies its lanes here is at most 1 + |lo| in size,
-        so a raised lane moves s, a . x and a . expm1(h x) by less than
-        n (1 + |lo|) 2**-1019.  Where s or |a . x| is below 2**-900, that
-        is more than their rounding, and the pass is made again exactly;
-        above it, D keeps the digits an exact pass gives it, since
-        |D| >= |a . x| / (norm max(1, h |lo|)) times a constant.
+        The b-escort's array a is the sum-only one of `log1p_sum`, exact
+        where s is below 2**-900: every factor that multiplies its lanes
+        here is at most 1 + |lo| in size, so a raised lane moves a . x and
+        a . expm1(h x) by less than n (1 + |lo|) 2**-1019, and the pass is
+        made again exactly where |a . x| is below 2**-900 too (tied maxima
+        at w = 1); above it, D keeps the digits an exact pass gives it,
+        since |D| >= |a . x| / (norm max(1, h |lo|)) times a constant.
         Consumes x."""
         b, h = min(alpha, beta), abs(alpha - beta)
         lb = self.log1p_sum(b)
         a, x = self.a, self.x
         dot = float(a @ x)
-        raised = x.size >= _EXP_SPLIT_MIN_SIZE and b * self.lo < _EXP_FAST_MIN
-        if raised and min(self.s, -dot) < _SUM_ONLY_MIN:
-            # a tiny sum, or tied maxima at w = 1 over an underflowing tail
+        if -dot < _SUM_ONLY_MIN and self._raised(b):
+            # tied maxima at w = 1 over an underflowing tail
             a = self._power(b, _exp_inplace, a)
             lb, dot = math.log1p(self.s), float(a @ x)
         norm = 1.0 + self.s
@@ -416,7 +429,7 @@ def log_norm(w, gamma) -> float:
     """
     gamma = _check_order(gamma)
     sup = _LogSupport(w)
-    return sup.m + sup.log1p_sum(gamma, in_place=True) / gamma
+    return sup.m + sup.log1p_sum(gamma, sup.x) / gamma
 
 
 def escort(w, beta) -> np.ndarray:

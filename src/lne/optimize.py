@@ -253,8 +253,9 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
     dgT = dg.T
 
     def potential(lam):
-        """(log G, support of the log weights, clamped) at ``lam``; G is
-        +inf once a bracket with a negative exponent a/d reaches zero."""
+        """(log G, support of the log weights, clamped) at ``lam``, with
+        L(alpha) exact however small; G is +inf once a bracket with a
+        negative exponent a/d reaches zero."""
         lw, clamped = _log_weights(lam, dg, d, terms)
         if d < 0 and clamped is not None:
             return np.inf, None, clamped

@@ -172,9 +172,11 @@ def gm_subadditivity_rhs(p, q, a, b):
 
 def _log_sum(terms):
     """log of a sum of nonnegative terms, with the largest taken out and
-    the rest added back through log1p."""
-    top = max(terms)
-    return mp.log(top) + mp.log1p((mp.fsum(terms) - top) / top)
+    the rest added back through log1p: summed apart from it, they keep
+    their digits however far below it they lie."""
+    rest = sorted(terms)
+    top = rest.pop()
+    return mp.log(top) + mp.log1p(mp.fsum(rest) / top)
 
 
 @_run

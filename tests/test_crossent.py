@@ -183,6 +183,15 @@ class TestLongVectors:
         for a, b in ((0.3, 6.0), (6.0, 0.3), (1.0, 40.0)):
             assert self._terms(p, q, a, b)[0] > LOG_FLOAT_MAX
             self._check(p, q, a, b)
+        # a value of 0 from two tiny sums, L(40) and that of u = 40 x - 38 y,
+        # whose 2803 raised lanes would each add exp(-707) = 9.8e-308
+        p = np.array([1e-243] * 2804 + [1.0])
+        p /= p.sum()
+        q = np.array([0.0] + [1e-68] * 2803 + [1.0])
+        q *= p.sum() / q.sum()
+        assert self._terms(p, q, 2.0, 40.0)[0] > LOG_FLOAT_MAX
+        got, ref = lnce(p, q, (2.0, 40.0)), R.lnce(p, q, 2.0, 40.0)
+        assert R.rel_err(got, ref) <= 1e-13, (float(got), float(ref))
 
     def test_band_between_the_norm_and_the_support_size(self):
         # one maximum over a bulk of 1e-10: the escort's norm is about 1,

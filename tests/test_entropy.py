@@ -324,10 +324,10 @@ class TestGeneralizedMeanBound:
 class TestLongVectors:
     """The families `_LogSupport.slope` serves, on vectors of 4096 entries
     whose exp pass at the smaller order b has arguments below -707
-    (b * lo < -707, lo = log(min w / max w)).  The slope reads that pass's
-    array by the sum-only rule, whose raised lanes move its sums by less
-    than n (1 + |lo|) 2**-1019, and makes the pass again exactly where the
-    sum s or the escort mean's numerator is below 2**-900.  Values are held
+    (b * lo < -707, lo = log(min w / max w)).  That pass is sum-only: its
+    raised lanes move its sums by less than n (1 + |lo|) 2**-1019, so
+    `log1p_sum` makes it again exactly where the sum s is below 2**-900,
+    and `slope` where the escort mean's numerator is.  Values are held
     to the mpmath reference at 5e-13, as `lne` is on the long vectors of
     `tests/test_numkit.py`; the vectors tile a few distinct values, which
     keeps the reference cheap."""
@@ -382,3 +382,9 @@ class TestLongVectors:
         got, ref = lne(w, (2.5, 2.0)), R.lne(w, 2.5, 2.0)
         assert 4.9e-300 < float(ref) < 5.1e-300
         assert R.rel_err(got, ref) <= 1e-13, (float(got), float(ref))
+        # L(2) alone, from a pass that consumes x
+        for got, ref in (
+            (log_norm(w, 2.0), R.log_norm(w, 2.0)),
+            (lne_min_entropy_limit(w, 2.0), R.lne_min_entropy_limit(w, 2.0)),
+        ):
+            assert R.rel_err(got, ref) <= 1e-13, (float(got), float(ref))
