@@ -35,13 +35,16 @@ import warnings
 import numpy as np
 
 from .numkit import (
+    _BLOCK,
     TOL_MASS,
     _LOG_FLOAT_MAX,
     _as_params,
     _exp_for_sum,
     _exp_inplace,
     _LogSupport,
+    _leaf,
     _min,
+    _tree,
     _validate,
 )
 
@@ -134,17 +137,23 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
     dropped states carry more of the escort than the kept ones, the sum
     rests on entries far out in y, whose escort weights may underflow,
     and it is taken in log space, as m + L(1) of the log weights
-    u = beta x + d y formed over y, -inf on the masked lanes, and L(beta)
-    from a sum-only exp pass over beta x, each exact however small."""
+    u = beta x + d y, -inf on the masked lanes, and L(beta) from a
+    sum-only exp pass over beta x, each exact however small.
+
+    The scan and the log-space branch run block by block (`numkit._tree`):
+    y is made a block at a time beside x, and u is written in x's place,
+    so that they hold one array of the support's size (and q gathered
+    onto p's support where p has zeros).  The expm1 branch holds x and a
+    whole y.  Its sum of the dropped escort is taken pairwise over
+    a * drop, a small block at a time."""
     alpha, beta = prm.alpha, prm.beta
     d = alpha - beta
-    p, x = sup.w, sup.x
-    qs = q if x.size == p.size else q[p > 0]  # q on the support of p
-    k = x.size
+    p, n = sup.w, sup.n
+    qs = q if n == p.size else q[p > 0]  # q on the support of p
+    k = n
     # q is nonnegative, so a minimum of 0 means a zero
     if q_min > 0 or _min(qs) > 0:
         drop = None
-        y = np.log(qs, out=None if qs is q else qs)
     else:
         if alpha >= beta:
             raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
@@ -156,29 +165,42 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
             # alpha < beta with disjoint supports: the defining sum is
             # empty and the value diverges; refuse rather than return inf.
             raise SupportError(int(np.flatnonzero(p > 0)[0]))
-        with np.errstate(divide="ignore"):
-            y = np.log(qs, out=None if qs is q else qs)
-    np.subtract(x, y, out=y)
     log_k = math.log(k)
-    if drop is not None:
-        y[drop] = y[drop.argmin()]
+    x, y = sup._x, None
     # a zero anywhere in q leaves range(y) unbounded by q: scan y
     lower, upper = _range_bounds(sup.lo, q_min, q_max) if q_min > 0 else (0.0, math.inf)
-    if abs(d) * upper + log_k <= _LOG_FLOAT_MAX:
-        expm1 = True
-    elif abs(d) * lower + log_k > _LOG_FLOAT_MAX:
-        expm1 = False
-    else:
-        expm1 = abs(d) * (y[y.argmax()] - _min(y)) + log_k <= _LOG_FLOAT_MAX
+    expm1 = abs(d) * upper + log_k <= _LOG_FLOAT_MAX
+    if not expm1:
+        # log space, or a scan: x, and y block by block beside it
+        x, ybuf = np.empty(n), np.empty(_leaf(n))
+        if abs(d) * lower + log_k <= _LOG_FLOAT_MAX:
+            if n <= _BLOCK:
+                top, neg_bottom = _scan_block(sup, x, qs, ybuf, drop, 0, n)
+            else:
+                top, neg_bottom = _tree(n, _scan_block, sup, x, qs, ybuf, drop, join=max)
+            sup._x = x
+            if n <= _BLOCK:
+                y = ybuf  # the scan's one block
+            expm1 = abs(d) * (top + neg_bottom) + log_k <= _LOG_FLOAT_MAX
     if expm1:
+        x = sup.x
+        if y is None:
+            ybuf = None
+            y = _log_q(qs, drop, None if qs is q else qs)
+            np.subtract(x, y, out=y)
+            if drop is not None:
+                y[drop] = y[drop.argmin()]
         # exp(beta x): L(beta), and the kept escort times norm
-        a = sup._power(beta, _exp_inplace, x)
-        l_beta = math.log1p(sup.s)  # psi(beta) = beta * m + l_beta
+        a = sup._power(beta, _exp_inplace, 0, n, x)
+        s = float(np.add.reduce(a))
+        l_beta = math.log1p(s)  # psi(beta) = beta * m + l_beta
         a[sup.i] = 1.0
-        norm, dropped = 1.0 + sup.s, 0.0
+        norm, dropped = 1.0 + s, 0.0
         if drop is not None:
-            # a masked sum: a[drop] would copy up to the whole support
-            dropped = float(np.add.reduce(a, where=drop))
+            # pairwise over a * drop, a small block at a time: a gather
+            # would copy up to the whole support
+            part = np.empty(_leaf(n, _BLOCK // 8))
+            (dropped,) = _tree(n, _masked_sum, a, drop, part, size=_BLOCK // 8)
             a[drop] = 0.0
             norm = float(a.sum())
         # with norm >= dropped, norm >= 1/2: a[i] = 1 is among the two
@@ -190,17 +212,81 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
                 np.expm1(y, out=y)
                 s += (math.log1p(float(a @ y) / norm) - math.log1p(dropped / norm)) / d
             return beta * s - l_beta
-        # the dropped states carry most of the escort: log space, over x again
-        x = sup._log(out=x)
-    # log(e . exp(d y)) + L(beta), in place over y
-    bx = np.multiply(x, beta, out=x)
-    y *= d
-    y += bx
-    if drop is not None:
-        y[drop] = -math.inf
+        # the dropped states carry most of the escort (only with a zero
+        # prior, which the bounds leave open): log space, over x again
+        a = None
+        x = sup._build(x)
+    # log(e . exp(d y)) + L(beta), from u = log(p^alpha q^-d) - beta m
+    if n <= _BLOCK:
+        (s,) = _u_block(sup, x, y, qs, ybuf, drop, d, beta, not expm1, 0, n)
+    else:
+        (s,) = _tree(n, _u_block, sup, x, y, qs, ybuf, drop, d, beta, not expm1)
+    u = y if y is not None else ybuf if n <= _BLOCK else x
+    # x may hold u: an exact pass takes x from w again
+    x = y = ybuf = sup._x = None
     if not expm1:
-        a = _exp_for_sum(bx, beta * sup.lo)
-        a[sup.i] = 0.0
-        l_beta = sup._log1p_exact(beta, a, float(a.sum()))
-    sup_u = _LogSupport.from_log(y)  # its exp array goes into x, keeping u
-    return beta * (sup_u.m + sup_u.log1p_sum(1.0, x) - l_beta) / d - l_beta
+        l_beta = sup._log1p_exact(beta, s)
+    sup_u = _LogSupport.from_log(u)
+    return beta * (sup_u.m + sup_u.log1p_sum(1.0) - l_beta) / d - l_beta
+
+
+def _log_q(q, drop, out):
+    """log q into ``out`` (a new array if None), -inf without a warning
+    where ``drop`` marks a zero."""
+    if drop is None:
+        return np.log(q, out=out)
+    with np.errstate(divide="ignore"):
+        return np.log(q, out=out)
+
+
+def _y_block(sup, x, qs, ybuf, drop, start, stop):
+    """(x, y = x - log q) over the block of p's support, y in ybuf: x read
+    where the support holds it, and taken from w into its place in x
+    where it does not."""
+    if stop - start < x.size:
+        x, qs, drop = x[start:stop], qs[start:stop], None if drop is None else drop[start:stop]
+    xb = x if sup._x is not None else sup._log(start, stop, x)
+    yb = _log_q(qs, drop, ybuf[: stop - start] if ybuf.size > stop - start else ybuf)
+    return xb, np.subtract(xb, yb, out=yb)
+
+
+def _scan_block(sup, x, qs, ybuf, drop, start, stop):
+    """(max y, -min y) over the block's kept states, a dropped one taking
+    the value of the block's first kept one."""
+    yb = _y_block(sup, x, qs, ybuf, drop, start, stop)[1]
+    if drop is not None:
+        db = drop[start:stop]
+        j = int(db.argmin())
+        if db[j]:  # every state of the block is dropped
+            return -math.inf, -math.inf
+        yb[db] = yb[j]
+    return float(yb[yb.argmax()]), -float(_min(yb))
+
+
+def _masked_sum(a, drop, part, start, stop):
+    """(sum of a over the block's dropped states,), pairwise over a * drop
+    in ``part``."""
+    return (float(np.add.reduce(np.multiply(a[start:stop], drop[start:stop], out=part[: stop - start]))),)
+
+
+def _u_block(sup, x, y, qs, ybuf, drop, d, beta, with_l_beta, start, stop):
+    """(sum of the block's exp(beta x) with the maximum's lane zeroed, or 0
+    without ``with_l_beta``,), with u = d y + beta x formed over the block:
+    in y's place where y is whole, and otherwise in ybuf and then in x's
+    place past one block."""
+    xb, yb = _y_block(sup, x, qs, ybuf, drop, start, stop) if y is None else (x[start:stop], y[start:stop])
+    yb *= d
+    xb *= beta
+    yb += xb
+    if drop is not None:
+        yb[drop[start:stop]] = -math.inf
+    s = 0.0
+    if with_l_beta:
+        a = _exp_for_sum(xb, beta * sup.lo, xb)
+        i = sup.i - start
+        if 0 <= i < a.size:
+            a[i] = 0.0
+        s = float(np.add.reduce(a))
+    if y is None and xb.size < x.size:
+        np.copyto(xb, yb)
+    return (s,)

@@ -187,8 +187,7 @@ def lne_min_entropy_limit(w, beta) -> EntropyValue:
     beta * [-log(max w) + log||w||_beta] = L(beta): a scale-invariant
     min-entropy."""
     beta = _check_order(beta, "beta")
-    sup = _LogSupport(w)
-    return EntropyValue(sup.log1p_sum(beta, sup.x), "min_entropy_scaled", (beta,))
+    return EntropyValue(_LogSupport(w).log1p_sum(beta), "min_entropy_scaled", (beta,))
 
 
 def gm_subadditivity_rhs(p, q, params) -> float:

@@ -28,9 +28,19 @@ with e the b-escort and h >= 0, whose terms all have one sign.  Every
 entropy and cross-entropy of the family is a short expression in m, L
 and D (see `lne.entropy`), with no formula switch near the diagonal.
 
-A call holds x and one exp array: the exp array of L(b) is also the
-b-escort times its norm, which D reads only through sums, and D works in
-place over x.
+A call holds at most one array of the support's size: `slope` keeps x,
+which it reads twice; `lnce`'s log-space branch keeps u, written in x's
+place; `escort` keeps the escort it returns; `log_norm` and
+`lne_min_entropy_limit` keep none.  Past B = 65,536 entries every pass
+runs block by block (`_tree`): a block of 512 KiB, a quarter of a 2 MiB
+L2, takes its x from w (ldexp, log, shift) or reads it, and goes on
+through the order, the exp and its sums while it is in cache.  The
+blocks are nodes of np.add.reduce's own pairwise split (Higham, SIAM J.
+Sci. Comput. 14(4), 1993), and their sums are added up that split, so
+every sum has the bits of one whole-array pass.  Only the two dot
+products of D are taken block by block, and may move in the last bits
+past B.  At n <= B a pass is its one block, with the numpy calls of a
+whole-array pass.  The exp rules below apply to each block.
 
 `_LogSupport.from_log` takes the same shift of weights given by their
 logs, so that the class is the package's only log-sum-exp: the solver's
@@ -68,6 +78,7 @@ plain np.exp: there the slow path costs less than avoiding it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,40 +249,87 @@ _SUM_ONLY_MIN = 2.0**-900
 _LOG2 = math.log(2.0)
 # exp overflows float64 above this
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# Longer passes run block by block: 512 KiB of float64, a quarter of a
+# 2 MiB L2, so that a block's chain of ufuncs reads and writes it in cache.
+_BLOCK = 65_536
+
+
+def _tree(n, block, *args, join=operator.add, size=_BLOCK, start=0) -> tuple:
+    """The tuples block(*args, lo, hi) returns over the blocks [lo, hi) of
+    the n entries from ``start``, joined elementwise by ``join``.
+
+    The blocks are the nodes of np.add.reduce's pairwise split
+    (n2 = n // 2 - (n // 2) % 8, recursively; Higham, SIAM J. Sci.
+    Comput. 14(4), 1993) where it first gets down to ``size`` entries, and
+    they are visited in order.  So a block's np.add.reduce is a node of
+    the whole array's sum, and sums joined by addition up that split have
+    the bits of np.add.reduce over the whole array.  At n <= size the one
+    block is the whole array, and callers call ``block`` on it themselves:
+    this call costs a few per cent of a pass over a short vector."""
+    if n <= size:
+        return block(*args, start, start + n)
+    half = n // 2
+    half -= half % 8
+    left = _tree(half, block, *args, join=join, size=size, start=start)
+    return tuple(map(join, left, _tree(n - half, block, *args, join=join, size=size, start=start + half)))
+
+
+def _leaf(n, size=_BLOCK) -> int:
+    """The size of the largest block `_tree` hands out over n entries."""
+    return _tree(n, lambda start, stop: (stop - start,), join=max, size=size)[0] if n > size else n
+
+
+def _dot(a, v) -> float:
+    """a . v over a block of a longer array, by einsum's loop, which stays
+    on one thread: numpy's matmul hands more than 10,000 entries to a
+    multithreaded BLAS, which on a busy host waits for its second thread
+    once per call."""
+    return float(np.einsum("i,i->", a, v))
 
 
 class _LogSupport:
     """The positive support of the weight vector ``w``, validated as by
     `as_weights` under the name ``name``, shifted by its largest log
-    weight, and the exp array of its last power sum.
+    weight.
 
-    ``x`` = log w - m, with m = log(max w) taken at index ``i``, so
-    x <= 0 and x[i] = 0 at every order.  The log is taken of w * 2**k,
-    with k bringing max w into [1, 2), and shifted by its own maximum:
-    the scaling is exact, so x is accurate to a few ulps of x itself
-    rather than of log w, which on weights near 1e-100 at order 100 is
-    the difference between 1e-12 and 1e-14.  Scaling down is skipped
-    where it would round an entry.  ``lo`` is log(min w) - m or, with
-    zeros in w, min(x): gamma * lo tells an exp pass whether it has
-    underflowing lanes.  `log1p_sum` and `escort` leave their exp array
-    ``a`` and that array's sum ``s``: `slope` reads them instead of a
-    second exp pass, and the solver reads L from ``s`` after `escort`.
-    ``w`` is the validated float64 vector.  A support built by
-    `from_log` has no ``w``.
+    x = log w - m over the support, with m = log(max w) taken at index
+    ``i`` of the support, so x <= 0 and x[i] = 0 at every order.  The log
+    is taken of w * 2**k, with k bringing max w into [1, 2), and shifted
+    by its own maximum: the scaling is exact, so x is accurate to a few
+    ulps of x itself rather than of log w, which on weights near 1e-100
+    at order 100 is the difference between 1e-12 and 1e-14.  Scaling
+    down is skipped where it would round an entry.  ``lo`` is
+    log(min w) - m or, with zeros in w, min(x): gamma * lo tells an exp
+    pass whether it has underflowing lanes.  ``n`` is the support's size
+    and ``s`` the sum of its last power sum, which the solver reads after
+    `escort`.  ``w`` is the validated float64 vector; a support built by
+    `from_log` has none.
+
+    x is not built until a caller reads it (`slope` and `lnce`, which
+    read it more than once).  A pass over a support without x takes each
+    block of x from w, with the same bits as the whole array would have
+    (see `_log`).
     """
 
-    __slots__ = ("w", "x", "m", "i", "lo", "a", "s", "_lo", "_k", "_top")
+    __slots__ = ("w", "n", "m", "i", "lo", "s", "_x", "_zeros", "_k", "_top", "_at", "_cum")
 
     def __init__(self, w, name="w"):
         w, lo, hi, top = _validate(w, name)
         k = 1 - math.frexp(hi)[1]  # hi * 2**k in [1, 2)
         if k < 0 and not math.ldexp(lo, k) >= _NORMAL_MIN:
             k = 0
-        self.w, self._lo, self._k, self._top = w, lo, k, 0.0
-        # log is monotone, so w's maximum is x's; with zeros x is shorter
-        self._top = self._shift(self._log(), top if lo > 0 else None)
-        self.m = math.log(hi)
-        self.lo = math.log(lo) - self.m if lo > 0 else float(_min(self.x))
+        self.w, self._zeros, self._k, self._x, self.m = w, not lo > 0, k, None, math.log(hi)
+        if lo > 0:
+            self.n, self.i, self.lo = w.size, top, math.log(lo) - self.m
+            # the log of w's maximum, as the vector log takes it: from the
+            # one block at n <= _BLOCK, here once for all blocks
+            self._top = None if w.size <= _BLOCK else float(np.log(np.ldexp(w[top : top + 1], k))[0])
+        else:
+            # with zeros, x is shorter than w, and min(x) is taken of the
+            # smallest positive weight, as the vector log takes it
+            self.n, self.i, self._at, self._cum = int(np.count_nonzero(w)), -1, top, None  # i: see _log
+            ends = np.log(np.ldexp(np.array([hi, np.min(w, where=w > 0, initial=hi)]), k))
+            self._top, self.lo = float(ends[0]), float(ends[1] - ends[0])
 
     @classmethod
     def from_log(cls, lx):
@@ -280,84 +338,171 @@ class _LogSupport:
         with x = lx - m, m = max lx.  Zero weights stay in x, so its
         escorts keep the length of lx, and lo = min(x), or -inf below
         _EXP_SPLIT_MIN_SIZE entries, where no exp pass reads it.  It has no
-        ``w``: `slope`, which may take the log of w again, is not for it."""
+        ``w``: `slope`, which builds x from w, is not for it.  A maximum
+        that is not finite (every weight zero, or one overflowed) leaves x
+        unshifted, so that L and psi are as infinite or nan as the sum
+        itself."""
         sup = cls.__new__(cls)
-        sup.m = sup._shift(lx)
-        sup.lo = float(_min(sup.x)) if lx.size >= _EXP_SPLIT_MIN_SIZE else -math.inf
+        sup.i = int(lx.argmax())
+        sup.m = top = float(lx[sup.i])
+        if math.isfinite(top):
+            lx -= top
+        sup._x, sup.n = lx, lx.size
+        sup.lo = float(_min(lx)) if lx.size >= _EXP_SPLIT_MIN_SIZE else -math.inf
         return sup
 
-    def _shift(self, x, i=None) -> float:
-        """Take ``x`` as the support's x, shifted in place by its maximum at
-        index i (x.argmax() unless given), and return that maximum.  A
-        maximum that is not finite (every weight zero, or one overflowed)
-        leaves x unshifted, so that L and psi are as infinite or nan as the
-        sum itself."""
-        self.i = int(x.argmax()) if i is None else i
-        top = float(x[self.i])
-        if math.isfinite(top):
-            x -= top
-        self.x, self.a = x, None
-        return top
+    @property
+    def x(self) -> np.ndarray:
+        """x over the whole support, built from w on first use."""
+        if self._x is None:
+            self._x = self._build()
+        return self._x
 
-    def _log(self, out=None) -> np.ndarray:
-        """log(w * 2**k) - top over the positive support, into ``out`` (a
-        new array if None), with the same bits every time."""
+    def _build(self, out=None) -> np.ndarray:
+        """x over the whole support, from w into ``out`` (a new array if
+        None), block by block past _BLOCK entries: a block compresses its
+        own zeros, where np.compress of the whole of w would hold an index
+        array the size of the support."""
+        n = self.n
+        if n <= _BLOCK:
+            return self._log(0, n, out)
+        x = np.empty(n) if out is None else out
+        _tree(n, lambda start, stop: (self._log(start, stop, x[start:stop]).size,))
+        return x
+
+    def _find(self, j) -> int:
+        """The index in w of the support's entry j, or w.size at j = n."""
         w = self.w
-        if not self._lo > 0:
-            w = out = np.compress(w > 0, w, out=out)
+        if j == self.n:
+            return w.size
+        if self._cum is None:  # positive entries up to the end of each _BLOCK of w
+            self._cum = np.cumsum([np.count_nonzero(w[c : c + _BLOCK]) for c in range(0, w.size, _BLOCK)])
+        c = int(np.searchsorted(self._cum, j, side="right"))
+        before = int(self._cum[c - 1]) if c else 0
+        c *= _BLOCK
+        return c + int(np.flatnonzero(w[c : c + _BLOCK])[j - before])
+
+    def _span(self, start, stop):
+        """(a, b) such that the positive entries of w[a:b], which has zeros,
+        are the support's entries start to stop - 1."""
+        if stop - start == self.n:
+            return 0, self.w.size
+        return self._find(start), self._find(stop)
+
+    def _log(self, start, stop, out=None) -> np.ndarray:
+        """x over the support's entries [start, stop), taken from w into the
+        head of ``out`` (a new array if None): log(w * 2**k) - top over a
+        block of w that compresses its own zeros, with the same bits every
+        time.  With zeros in w, the block that holds the maximum sets ``i``."""
+        w = self.w
+        part = stop - start < self.n
+        if part and out is not None:
+            out = out[: stop - start]
+        holds = False
+        if self._zeros:
+            a, b = self._span(start, stop)
+            w = out = np.compress(w[a:b] > 0, w[a:b], out=out)
+            holds = a <= self._at < b
+        elif part:
+            w = w[start:stop]
         if self._k:
             w = out = np.ldexp(w, self._k, out=out)
         x = np.log(w, out=out)
-        if self._top:
-            x -= self._top
+        if holds:
+            self.i = start + int(x.argmax())
+        top = self._top
+        if top is None:  # the one block, without zeros
+            top = self._top = float(x[self.i])
+        if top:
+            x -= top
         return x
 
-    def _power(self, gamma, exp, out) -> np.ndarray:
-        """exp(gamma * x) by the exp rule ``exp`` into ``out`` (a new array
-        if None), with the maximum's lane i zeroed: the exp array a, and
-        its sum s.  At gamma = 1 x goes to the exp as it is."""
-        x = self.x
+    def _power(self, gamma, exp, start, stop, out=None) -> np.ndarray:
+        """exp(gamma * x) over the support's entries [start, stop), by the
+        exp rule ``exp``, into the head of ``out`` (a new array if None),
+        with the maximum's lane zeroed.  x is read where the support holds
+        it and taken from w into ``out`` where it does not.  At gamma = 1 x
+        goes to the exp as it is."""
+        x = self._x
+        if x is None:
+            x = out = self._log(start, stop, out)
+        elif stop - start < x.size:  # a block of a longer support
+            x = x[start:stop]
+            if out is not None:
+                out = out[: x.size]
         if gamma != 1.0:
             x = out = np.multiply(x, gamma, out=out)
         elif out is None:
-            out = np.empty_like(x)
+            out = np.empty(x.size)
         a = exp(x, gamma * self.lo, out)
-        a[self.i] = 0.0
-        self.a, self.s = a, float(np.add.reduce(a))  # what a.sum() calls
+        i = self.i - start
+        if 0 <= i < a.size:
+            a[i] = 0.0
         return a
+
+    def _sum(self, gamma, exp) -> float:
+        """sum_{j != i} exp(gamma * x_j) by the exp rule ``exp``, block by
+        block with the bits of one whole-array pass; also left in ``s``."""
+        n = self.n
+        if n <= _BLOCK:
+            self.s = float(np.add.reduce(self._power(gamma, exp, 0, n)))
+        else:
+            (self.s,) = _tree(n, self._sum_block, gamma, exp, np.empty(_leaf(n)))
+        return self.s
+
+    def _sum_block(self, gamma, exp, buf, start, stop):
+        """(sum of the block's exp array,), the array made in buf."""
+        return (float(np.add.reduce(self._power(gamma, exp, start, stop, buf))),)
 
     def _raised(self, gamma) -> bool:
         """Whether a sum-only exp pass at gamma raises lanes."""
-        return self.x.size >= _EXP_SPLIT_MIN_SIZE and gamma * self.lo < _EXP_FAST_MIN
+        return self.n >= _EXP_SPLIT_MIN_SIZE and gamma * self.lo < _EXP_FAST_MIN
 
-    def _log1p_exact(self, gamma, a, s) -> float:
-        """log1p(s), s the sum of a sum-only exp pass at gamma into a, which
-        is made again exactly where s < _SUM_ONLY_MIN and it raised lanes
-        (over x taken again from w, where the pass consumed it)."""
+    def _log1p_exact(self, gamma, s) -> float:
+        """log1p(s), s the sum of a sum-only exp pass at gamma, which is
+        made again exactly where s < _SUM_ONLY_MIN and it raised lanes."""
         if s < _SUM_ONLY_MIN and self._raised(gamma):
-            if a is self.x:
-                self._log(out=a)
-            self._power(gamma, _exp_inplace, a)
-            s = self.s
+            s = self._sum(gamma, _exp_inplace)
         return math.log1p(s)
 
-    def log1p_sum(self, gamma, out=None) -> float:
+    def log1p_sum(self, gamma) -> float:
         """L(gamma) = log1p(sum_{j != i} exp(gamma * x_j)) >= 0, so that
         psi(gamma) = log sum_i w_i^gamma = gamma * m + L(gamma).  Only the
         maximum at i is left out of the sum: one tying with it adds 1,
-        and log1p of a sum >= 1 needs no tie count.  The exp array a, into
-        ``out`` (a new array if None), is `_log1p_exact`'s: only its sum, or
-        sums of its lanes times bounded factors, may be read.  With out = x
-        it consumes x, and the support needs a ``w``."""
-        return self._log1p_exact(gamma, self._power(gamma, _exp_for_sum, out), self.s)
+        and log1p of a sum >= 1 needs no tie count.  The pass is
+        `_exp_for_sum`'s, made again by `_log1p_exact`; it leaves x, where
+        the support holds it, as it was."""
+        return self._log1p_exact(gamma, self._sum(gamma, _exp_for_sum))
 
     def escort(self, gamma) -> np.ndarray:
-        """The gamma-escort w^gamma / sum w^gamma, in the exp array, from an
-        exact exp pass of its own (see `_exp_inplace`)."""
-        a = self._power(gamma, _exp_inplace, self.a)
-        a[self.i] = 1.0
-        a /= 1.0 + self.s
-        return a
+        """The gamma-escort w^gamma / sum w^gamma from an exact exp pass
+        (see `_exp_inplace`), of w's length, zero where w is; over x for a
+        support without w.  Each block's exp array is written where the
+        escort returns it, so the escort is the call's one full array."""
+        n, zeros = self.n, self._x is None and self._zeros
+        if n <= _BLOCK and not zeros:  # the one block's exp array
+            out = self._power(gamma, _exp_inplace, 0, n)
+            self.s = float(np.add.reduce(out))
+        else:
+            out = np.zeros(self.w.size) if zeros else np.empty(n)
+            buf = np.empty(_leaf(n)) if zeros else None
+            (self.s,) = _tree(n, self._escort_block, gamma, out, buf)
+        out[self._at if zeros else self.i] = 1.0
+        out /= 1.0 + self.s
+        return out
+
+    def _escort_block(self, gamma, out, buf, start, stop):
+        """(sum of the block's exact exp array,), the array written where
+        the escort ``out`` holds it: in place, or by way of ``buf`` past
+        the zeros of w."""
+        if buf is None:
+            a = self._power(gamma, _exp_inplace, start, stop, out[start:stop])
+        else:
+            a = self._power(gamma, _exp_inplace, start, stop, buf)
+            lo, hi = self._span(start, stop)
+            part = out[lo:hi]
+            part[self.w[lo:hi] > 0] = a
+        return (float(np.add.reduce(a)),)
 
     def slope(self, alpha, beta):
         """(b, L(b), D) over the orders {alpha, beta}, b the smaller.
@@ -371,23 +516,32 @@ class _LogSupport:
         has rounded R itself away, and the plain difference of L(b + h) and
         L(b), at least log 2 apart, keeps it.  By Jensen R >= exp(h e . x),
         so only pairs with h e . x < -log 2 try the difference first.
-        The b-escort's array a is the sum-only one of `log1p_sum`, exact
-        where s is below 2**-900: every factor that multiplies its lanes
-        here is at most 1 + |lo| in size, so a raised lane moves a . x and
-        a . expm1(h x) by less than n (1 + |lo|) 2**-1019, and the pass is
-        made again exactly where |a . x| is below 2**-900 too (tied maxima
-        at w = 1); above it, D keeps the digits an exact pass gives it,
-        since |D| >= |a . x| / (norm max(1, h |lo|)) times a constant.
-        Consumes x."""
+        The b-escort's array a is a sum-only one (see `_exp_for_sum`),
+        exact where s or |a . x| is below 2**-900 (the latter for tied
+        maxima at w = 1): every factor that multiplies its lanes here is
+        at most 1 + |lo| in size, so a raised lane moves a . x and
+        a . expm1(h x) by less than n (1 + |lo|) 2**-1019; above that
+        bound, D keeps the digits an exact pass gives it, since
+        |D| >= |a . x| / (norm max(1, h |lo|)) times a constant.
+
+        x is the call's one full array: a is made block by block, and made
+        again for the expm1 sweep, where its dot products are taken block
+        by block too.  Past _BLOCK entries they may differ from whole-array
+        dot products in the last bits.  Consumes x."""
         b, h = min(alpha, beta), abs(alpha - beta)
-        lb = self.log1p_sum(b)
-        a, x = self.a, self.x
-        dot = float(a @ x)
-        if -dot < _SUM_ONLY_MIN and self._raised(b):
-            # tied maxima at w = 1 over an underflowing tail
-            a = self._power(b, _exp_inplace, a)
-            lb, dot = math.log1p(self.s), float(a @ x)
-        norm = 1.0 + self.s
+        x = self._x = self._build()
+        n = self.n
+        buf = None if n <= _BLOCK else np.empty(_leaf(n))
+        # the sum-only pass, and the exact one where it is not exact enough
+        for exp in (_exp_for_sum, _exp_inplace):
+            if n <= _BLOCK:
+                a = self._power(b, exp, 0, n)
+                s, dot = float(np.add.reduce(a)), float(a @ x)
+            else:
+                s, dot = _tree(n, self._moments, b, exp, buf)
+            if not ((s < _SUM_ONLY_MIN or -dot < _SUM_ONLY_MIN) and self._raised(b)):
+                break
+        lb, norm = math.log1p(s), 1.0 + s
         mean = dot / norm
         if h < 2.0**-969:
             # h x would be subnormal for the smallest nonzero |x| (about
@@ -396,28 +550,34 @@ class _LogSupport:
         if h * mean < -_LOG2:
             # only L(b + h) - L(b) <= -log 2 is kept, where L(b) >= log 2
             # absorbs what raised lanes add to L(b + h)
-            g = max(alpha, beta)
-            u = _exp_for_sum(np.multiply(x, g, out=x), g * self.lo)
-            u[self.i] = 0.0
-            k = math.log1p(float(u.sum())) - lb
+            k = math.log1p(self._sum(max(alpha, beta), _exp_for_sum)) - lb
             if k <= -_LOG2:
                 return b, lb, k / h
-            x = self._log(out=x)
-        np.multiply(x, h, out=x)
-        np.expm1(x, out=x)
-        return b, lb, math.log1p(float(a @ x) / norm) / h
+        if n <= _BLOCK:
+            x *= h
+            t = float(a @ np.expm1(x, out=x))
+        else:
+            (t,) = _tree(n, self._expm1_dot, b, exp, buf, h)
+        return b, lb, math.log1p(t / norm) / h
+
+    def _moments(self, b, exp, buf, start, stop):
+        """(sum a, a . x) over a block of a longer support, a the block's
+        exp array of b x, made in buf."""
+        a = self._power(b, exp, start, stop, buf)
+        return float(np.add.reduce(a)), _dot(a, self._x[start:stop])
+
+    def _expm1_dot(self, b, exp, buf, h, start, stop):
+        """(a . expm1(h x),) over a block of a longer support, with its a
+        made again in buf, and its block of x consumed."""
+        a = self._power(b, exp, start, stop, buf)
+        x = self._x[start:stop]
+        x *= h
+        return (_dot(a, np.expm1(x, out=x)),)
 
 
 def _escort(w, beta) -> np.ndarray:
     """`escort` of the weight vector w at a checked order beta."""
-    sup = _LogSupport(w)
-    e = sup.escort(beta)
-    w = sup.w
-    if e.size == w.size:
-        return e
-    out = np.zeros_like(w)
-    out[w > 0] = e
-    return out
+    return _LogSupport(w).escort(beta)
 
 
 def log_norm(w, gamma) -> float:
@@ -429,7 +589,7 @@ def log_norm(w, gamma) -> float:
     """
     gamma = _check_order(gamma)
     sup = _LogSupport(w)
-    return sup.m + sup.log1p_sum(gamma, sup.x) / gamma
+    return sup.m + sup.log1p_sum(gamma) / gamma
 
 
 def escort(w, beta) -> np.ndarray:

@@ -24,7 +24,7 @@ from lne import (
     shannon,
     tsallis,
 )
-from lne.numkit import _EXP_FAST_MIN, _EXP_SPLIT_MIN_SIZE, _exp_for_sum, _exp_inplace, _LogSupport
+from lne.numkit import _BLOCK, _EXP_FAST_MIN, _EXP_SPLIT_MIN_SIZE, _exp_for_sum, _exp_inplace, _LogSupport
 
 import mp_reference as R
 
@@ -140,10 +140,15 @@ class TestExpInplace:
 
 
 class TestKernelMemory:
-    """Each power sum works in one scratch array: the peak allocation of
-    a call stays near log w plus that scratch, in units of 8n bytes."""
+    """A call holds at most one array of the support's size, and passes
+    over longer vectors run through blocks of _BLOCK entries: the peak
+    allocation of a call, in units of 8n bytes, stays near one (x, the
+    escort it returns, or lnce's u) plus its blocks, and near zero for a
+    power sum alone.  The expm1 branch of lnce holds x and y."""
 
     N = 100_000
+    # past 16 blocks, where a block is 1/16 of the vector
+    LONG = 2**20 + 7
 
     @staticmethod
     def _peak(call):
@@ -212,6 +217,48 @@ class TestKernelMemory:
             peak = self._peak(call) / (8 * self.N)
             assert peak <= 2.05, (name, peak)
         assert self._peak(lambda: escort(w, 2.0)) / (8 * self.N) <= 2.5
+
+    def test_one_array_past_the_block_size(self):
+        rng = np.random.default_rng(28)
+        n = self.LONG
+        w = rng.uniform(0.05, 1.0, n)
+        tail = rng.random(n) < 0.25
+        w[tail] = 10.0 ** rng.uniform(-200.0, -1.0, int(tail.sum()))
+        w_zero = np.where(rng.random(n) < 0.1, 0.0, w)
+        p = w / w.sum()
+        q = rng.uniform(0.05, 1.0, n)
+        q /= q.sum()
+        q_zero = np.where(rng.random(n) < 0.3, 0.0, q)
+        q_zero /= q_zero.sum()
+        one_array = {
+            "lne": lambda: lne(w, (6.0, 2.0)),
+            "lne diagonal": lambda: lne(w, (2.0, 2.0)),
+            "lne plain difference": lambda: lne(w, (40.0, 2.0)),
+            "lne with zeros": lambda: lne(w_zero, (6.0, 2.0)),
+            "kapur": lambda: kapur(w, 6.0, 2.0),
+            "renyi": lambda: renyi(p, 2.0),
+            "norm_entropy": lambda: norm_entropy(w, 6.0, 2.0),
+            "aczel_daroczy": lambda: aczel_daroczy(w, 2.0),
+            "shannon": lambda: shannon(p),
+            "escort": lambda: escort(w, 2.0),
+            "escort with zeros": lambda: escort(w_zero, 2.0),
+            "lnce log space": lambda: lnce(p, q, (0.3, 6.0)),
+            "lnce zero prior log space": lambda: lnce(p, q_zero, (0.3, 6.0)),
+        }
+        no_array = {
+            "log_norm": lambda: log_norm(w, 0.3),
+            "log_norm with zeros": lambda: log_norm(w_zero, 0.3),
+            "lne_min_entropy_limit": lambda: lne_min_entropy_limit(w, 2.0),
+        }
+        # the expm1 branch of lnce holds x and y, as it did
+        two_arrays = {
+            "lnce": lambda: lnce(p, q, (1.9, 2.0)),
+            "lnce zero prior": lambda: lnce(p, q_zero, (1.9, 2.0)),
+        }
+        for calls, bound in ((one_array, 1.25), (no_array, 0.25), (two_arrays, 2.5)):
+            for name, call in calls.items():
+                peak = self._peak(call) / (8 * n)
+                assert peak <= bound, (name, peak)
 
     def test_shannon_peak(self):
         rng = np.random.default_rng(24)
@@ -301,7 +348,7 @@ class TestSupportSummary:
     def test_from_log_weights(self):
         # the support of log weights given as such, as the solver and the
         # log-space sum of lnce build it: a zero weight stays in x as -inf,
-        # and slope, whose second try takes the log of w again, fails
+        # and slope, which builds x from w, fails
         w = np.array([0.3] * 9 + [0.3 * math.exp(-100.0), 0.0])
         with np.errstate(divide="ignore"):
             sup = _LogSupport.from_log(np.log(w))
@@ -317,14 +364,20 @@ class TestSupportSummary:
             lo = _LogSupport.from_log(np.linspace(-900.0, 3.0, n)).lo
             assert lo == (-903.0 if n >= _EXP_SPLIT_MIN_SIZE else -np.inf), n
 
-    @pytest.mark.parametrize("n", [2, 9, 20, 130, 5000])
+    @pytest.mark.parametrize("n", [2, 9, 20, 130, 5000, _BLOCK + 1, 3 * _BLOCK + 7])
     def test_power_sum_has_the_bits_of_ndarray_sum(self, n):
         # log1p_sum adds with np.add.reduce, the reduction ndarray.sum
-        # calls: the same pairwise blocks, the same bits
-        sup = _LogSupport(np.random.default_rng(n).uniform(1e-3, 1.0, n))
-        for gamma in (0.3, 2.0, 100.0):
-            sup.log1p_sum(gamma)
-            assert sup.s == float(sup.a.sum()), gamma
+        # calls, block by block along its pairwise split: the bits of one
+        # np.add.reduce over a whole-array exp pass, with and without zeros
+        w = np.random.default_rng(n).uniform(1e-3, 1.0, n)
+        for v in (w, np.where(np.arange(n) % 7 == 3, 0.0, w)):
+            x = _LogSupport(v).x
+            for gamma in (0.3, 2.0, 100.0):
+                sup = _LogSupport(v)
+                a = _exp_for_sum(x * gamma, gamma * sup.lo)
+                a[int(x.argmax())] = 0.0
+                assert sup.log1p_sum(gamma) == math.log1p(np.add.reduce(a)), gamma
+                assert sup.s == float(np.add.reduce(a)), gamma
 
     def test_ties_from_rounding(self):
         # log weights one ulp apart, whose products with gamma round to
@@ -377,6 +430,97 @@ class TestSupportSummary:
                     lne_min_entropy_limit(w, gamma), R.lne_min_entropy_limit(w, gamma), 5e-13, k, gamma
                 )
                 self._check(aczel_daroczy(w, gamma), R.aczel_daroczy(w, gamma), 1e-13, k, gamma)
+
+
+class TestBlocks:
+    """Past _BLOCK entries every pass runs block by block, and the block
+    sums are joined along np.add.reduce's own pairwise split: a sum has
+    the bits of one whole-array pass, which each test here makes itself
+    from the support's whole x.  Only the dot products of the slope are
+    taken block by block; the slope families are held to the mpmath
+    reference instead, on vectors of a few distinct values."""
+
+    N = 3 * _BLOCK + 7
+
+    @classmethod
+    def _vectors(cls):
+        rng = np.random.default_rng(29)
+        w = rng.uniform(0.05, 1.0, cls.N)
+        tail = rng.random(cls.N) < 0.25
+        w[tail] = 10.0 ** rng.uniform(-200.0, -1.0, int(tail.sum()))
+        # zeros in runs and alone, so that blocks of w and of the support differ
+        zeros = w.copy()
+        zeros[rng.random(cls.N) < 0.1] = 0.0
+        zeros[_BLOCK - 100 : _BLOCK + 3000] = 0.0
+        return {"no zeros": w, "zeros": zeros}
+
+    @staticmethod
+    def _whole(v, gamma, exp):
+        """(support, the exp array of gamma x over the whole x with the
+        maximum's lane zeroed, its np.add.reduce)"""
+        sup = _LogSupport(v)
+        x = sup.x
+        a = exp(x * gamma, gamma * sup.lo)
+        a[sup.i] = 0.0
+        return sup, a, float(np.add.reduce(a))
+
+    def test_power_sums_and_escort_have_the_whole_array_bits(self):
+        for name, v in self._vectors().items():
+            for gamma in (0.3, 2.0, 6.0):
+                sup, _, s = self._whole(v, gamma, _exp_for_sum)
+                assert log_norm(v, gamma) == sup.m + math.log1p(s) / gamma, (name, gamma)
+                assert lne_min_entropy_limit(v, gamma) == math.log1p(s), (name, gamma)
+                sup, a, s = self._whole(v, gamma, _exp_inplace)
+                a[sup.i] = 1.0
+                e = np.zeros(v.size)
+                e[v > 0] = a / (1.0 + s)
+                assert escort(v, gamma).tobytes() == e.tobytes(), (name, gamma)
+
+    def test_log_space_lnce_has_the_whole_array_bits(self):
+        v = self._vectors()["no zeros"]
+        p = v / v.sum()
+        q = np.random.default_rng(30).uniform(0.05, 1.0, v.size)
+        q /= q.sum()
+        q_zero = np.where(np.arange(v.size) % 5 == 1, 0.0, q)
+        q_zero /= q_zero.sum()
+        for prior in (q, q_zero):
+            for alpha, beta in ((0.3, 6.0), (0.3, 2.0), (6.0, 0.3)):
+                if alpha > beta and not prior.all():
+                    continue
+                d = alpha - beta
+                sup, _, s = self._whole(p, beta, _exp_for_sum)
+                l_beta = math.log1p(s)
+                with np.errstate(divide="ignore"):
+                    y = sup.x - np.log(prior)
+                u = y * d + sup.x * beta
+                u[prior == 0.0] = -np.inf
+                top = int(u.argmax())
+                m = float(u[top])
+                xu = u - m
+                au = _exp_for_sum(xu, float(xu.min()))
+                au[top] = 0.0
+                want = beta * (m + math.log1p(np.add.reduce(au)) - l_beta) / d - l_beta
+                # far from the diagonal: the log-space branch
+                assert abs(d) * (y[prior > 0].max() - y[prior > 0].min()) > 709.8
+                assert float(lnce(p, prior, (alpha, beta))) == want, (alpha, beta, prior.all())
+
+    def test_slope_families_match_mpmath(self):
+        # a few distinct values keep the reference cheap at any length
+        for small in ([1.0, 0.3, 1e-3, 1e-200, 0.7], [0.5, 0.0, 1e-150, 0.2, 0.0, 1e-300, 0.5]):
+            w = np.resize(np.array(small), self.N)
+            p = w / w.sum()
+            for b in (0.3, 2.0):
+                for a in (b, b * (1.0 + 1e-9), 2.5 * b, 20.0 * b):
+                    err = R.rel_err(lne(w, (a, b)), R.lne(w, a, b))
+                    assert err <= 5e-13, ("lne", small, a, b, err)
+                    if a != b:
+                        assert R.rel_err(kapur(w, a, b), R.kapur(w, a, b)) <= 1e-13, ("kapur", small, a, b)
+                        err = R.rel_err(norm_entropy(w, a, b), R.norm_entropy(w, a, b))
+                        assert err <= 5e-13, ("norm_entropy", small, a, b, err)
+                assert R.rel_err(aczel_daroczy(w, b), R.aczel_daroczy(w, b)) <= 1e-13, ("aczel_daroczy", small, b)
+                assert R.rel_err(renyi(w, b), R.renyi(w, b)) <= 1e-13, ("renyi", small, b)
+                assert R.rel_err(tsallis(p, b), R.tsallis(p, b)) <= 1e-13, ("tsallis", small, b)
+            assert R.rel_err(shannon(w), R.shannon(w)) <= 1e-13, ("shannon", small)
 
 
 class TestLogNorm:

@@ -5,7 +5,9 @@ A vector is drawn as 1-4 blocks (10^e, count), e in [-300, 0] and count
 in [1, 3000], plus one entry 1: the (distinct value, count) form that
 `mp_reference` reads, so a vector of thousands of entries costs the
 reference what one of a few entries does, while the exp-lane rules of
-`lne.numkit`, which start at 2048 entries, are reached.  Orders, and
+`lne.numkit`, which start at 2048 entries, are reached.  For `log_norm`
+and `lne` a count may also reach 3 * 65,536, so that their passes run
+through several of `numkit`'s blocks.  Orders, and
 both orders of a pair, are drawn from a fixed set over [0.05, 1e4].
 Each family is held to the bounds of `tests/test_accuracy.py`, relative
 with a floor of 1e-300.
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 import mp_reference as R
 from lne import aczel_daroczy, kapur, lne, lne_min_entropy_limit, log_norm, renyi
+from lne.numkit import _BLOCK
 
 TOL = 1e-13
 TOL_WIDE = 5e-13
@@ -42,6 +45,12 @@ SETTINGS = settings(
 )
 
 blocks = st.lists(st.tuples(st.integers(-300, 0), st.integers(1, 3000)), min_size=1, max_size=4)
+# counts past the block size of the passes, as well as the short ones
+long_blocks = st.lists(
+    st.tuples(st.integers(-300, 0), st.one_of(st.integers(1, 3000), st.integers(1, 3 * _BLOCK))),
+    min_size=1,
+    max_size=4,
+)
 orders = st.sampled_from(ORDERS)
 pairs = st.tuples(orders, orders)
 
@@ -58,7 +67,7 @@ def _check(got, ref, tol, *where):
 
 
 @SETTINGS
-@given(blocks, orders)
+@given(long_blocks, orders)
 def test_log_norm(drawn, g):
     w = _vector(drawn)
     _check(log_norm(w, g), R.log_norm(w, g), TOL, drawn, g)
@@ -72,7 +81,7 @@ def test_lne_min_entropy_limit(drawn, b):
 
 
 @SETTINGS
-@given(blocks, pairs)
+@given(long_blocks, pairs)
 def test_lne(drawn, pair):
     w, (a, b) = _vector(drawn), pair
     _check(lne(w, (a, b)), R.lne(w, a, b), TOL_WIDE, drawn, a, b)

@@ -52,26 +52,33 @@ def test_solves_evaluate_the_potential_through_the_module_attribute(monkeypatch)
 
 
 def test_abpairs_flags_pairs_in_two_allocator_states():
-    # eval-large settles at about 76.8 or 82.4 MB: pair 2 compares the two
+    # eval-large settles at about 76.8 or 82.4 MB: a side whose own runs
+    # span both states is flagged, and sides that differ from each other
+    # by design, a change that drops an array, are not
     def row(workload, base_rss, head_rss):
         metrics = {"op_p50_ms": abpairs.summarize([8.0, 8.1, 8.2], [7.9, 10.5, 8.0], "lower"),
                    "peak_rss_mb": abpairs.summarize(base_rss, head_rss, "lower")}
         r = {"workload": workload, "seed": 1, "metrics": metrics, "failed": {"base": [0], "head": [0]},
              "attempted": 14}
-        r["rss_mismatch_pairs"] = abpairs.rss_mismatches(r)
+        r["rss_flip_sides"] = abpairs.rss_flips(workload, metrics)
         return r
 
-    large = row("eval-large", [76.8, 76.9, 82.4], [76.8, 82.4, 84.9])
+    large = row("eval-large", [76.8, 76.9, 76.8], [76.8, 82.4, 76.9])
+    smaller = row("eval-large", [76.8, 76.9, 82.4], [67.6, 67.7, 67.6])
     solve = row("solve", [40.0, 40.0, 40.0], [40.0, 50.0, 40.0])
-    assert large["rss_mismatch_pairs"] == [2]
-    assert solve["rss_mismatch_pairs"] == []  # only eval-large has the two states
-    metrics = {name: abpairs.summarize(large["metrics"][name]["base"] * 2, large["metrics"][name]["head"] * 2,
+    assert large["rss_flip_sides"] == ["head"]
+    assert smaller["rss_flip_sides"] == ["base"]
+    assert abpairs.rss_flips("eval-large", row("eval-large", [76.8] * 3, [67.6] * 3)["metrics"]) == []
+    assert solve["rss_flip_sides"] == []  # only eval-large has the two states
+    metrics = {name: abpairs.summarize(large["metrics"][name]["base"] + smaller["metrics"][name]["base"],
+                                       large["metrics"][name]["head"] + smaller["metrics"][name]["head"],
                                        "lower") for name in large["metrics"]}
-    result = {"runs": [large, solve, dict(large, seed=2)], "pooled": {"eval-large": metrics}, "l3": []}
+    result = {"runs": [large, solve, dict(smaller, seed=2)], "pooled": {"eval-large": metrics}, "l3": []}
     lines = abpairs.summary_lines(result)
-    assert lines[0].endswith("peak_rss_mb sides differ by > 3 MB in pairs [2]")
-    assert "differ" not in lines[1]
-    assert lines[3].endswith("peak_rss_mb sides differ in 2 of 6 pairs")
+    assert lines[0].endswith("peak_rss_mb runs spread by > 3 MB within head")
+    assert "spread" not in lines[1]
+    assert lines[2].endswith("peak_rss_mb runs spread by > 3 MB within base")
+    assert lines[3].endswith("peak_rss_mb runs spread by > 3 MB within base and head")
 
 
 def test_abpairs_l3_line_gives_the_step_time_by_m():

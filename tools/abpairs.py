@@ -15,11 +15,14 @@ change won, and whether the medians differ by more than the distance
 between the base's quartiles; a workload run at several seeds also gets
 those figures over all its pairs ("pooled").
 
-A pair whose two sides' eval-large ``peak_rss_mb`` differ by more than
-3 MB is flagged, in its row of the result (``rss_mismatch_pairs``) and in
-the summary line: on a 2-core host that workload settles in one of two
-glibc heap-trim states, 76.8 or 82.4 MB, whose ``op_p50_ms`` differ by
-25-35 %, so such a pair compares the allocator's states and not the code.
+A side whose own eval-large ``peak_rss_mb`` runs spread by more than
+3 MB is flagged, in its row of the result (``rss_flip_sides``), in the
+pooled figures and in the summary lines: on a 2-core host that workload
+can settle in one of two glibc heap-trim states, 76.8 or 82.4 MB, whose
+``op_p50_ms`` differ by 25-35 %, and such a side has runs in both, so
+its figures mix the allocator's states with the code's.  The two sides
+may differ by more than that by design: a change that drops an array
+moves every run.
 
 ``--interleave WORKLOAD:SEEDS:ROUNDS`` times both trees in one process,
 which keeps glibc's heap state and the host's drift off the comparison:
@@ -294,19 +297,23 @@ def summarize(base, head, better):
     }
 
 
-# Largest peak_rss_mb gap between the sides of a pair that still reads
-# one allocator state, by workload.
-RSS_GAP_MB = {"eval-large": 3.0}
+# Largest spread of one side's own peak_rss_mb runs that still reads one
+# allocator state, by workload.
+RSS_SPREAD_MB = {"eval-large": 3.0}
 
 
-def rss_mismatches(row):
-    """1-based numbers of the pairs of ``row`` whose two sides'
-    peak_rss_mb differ by more than RSS_GAP_MB of its workload."""
-    gap = RSS_GAP_MB.get(row["workload"])
-    if gap is None:
+def rss_flips(workload, metrics):
+    """The sides ("base", "head") whose peak_rss_mb runs in ``metrics``
+    spread by more than RSS_SPREAD_MB of ``workload``."""
+    spread = RSS_SPREAD_MB.get(workload)
+    if spread is None:
         return []
-    rss = row["metrics"]["peak_rss_mb"]
-    return [i + 1 for i, (b, h) in enumerate(zip(rss["base"], rss["head"])) if abs(h - b) > gap]
+    rss = metrics["peak_rss_mb"]
+    return [side for side in ("base", "head") if max(rss[side]) - min(rss[side]) > spread]
+
+
+def _flip_note(workload, sides):
+    return f", peak_rss_mb runs spread by > {RSS_SPREAD_MB[workload]:g} MB within {' and '.join(sides)}"
 
 
 def summary_lines(result):
@@ -318,16 +325,16 @@ def summary_lines(result):
         line = (f"{row['workload']:10s} seed {row['seed']}: op_p50_ms {m['base_spread']['median']:.4g} -> "
                 f"{m['head_spread']['median']:.4g} ({m['ratio']:.3f}x, {m['wins']}/{m['pairs']} wins), "
                 f"failed {row['failed']['base']} -> {row['failed']['head']} of {row['attempted']}")
-        if row.get("rss_mismatch_pairs"):
-            line += f", peak_rss_mb sides differ by > {RSS_GAP_MB[row['workload']]:g} MB in pairs {row['rss_mismatch_pairs']}"
+        if row.get("rss_flip_sides"):
+            line += _flip_note(row["workload"], row["rss_flip_sides"])
         lines.append(line)
     for workload, metrics in result["pooled"].items():
         m = metrics["op_p50_ms"]
         line = (f"{workload:10s} pooled: op_p50_ms {m['ratio']:.3f}x, {m['wins']}/{m['pairs']} wins, "
                 f"beyond the base's quartile distance: {m['beyond_base_iqr']}")
-        if workload in RSS_GAP_MB:
-            flagged = sum(len(r.get("rss_mismatch_pairs", [])) for r in result["runs"] if r["workload"] == workload)
-            line += f", peak_rss_mb sides differ in {flagged} of {m['pairs']} pairs"
+        flips = rss_flips(workload, metrics)
+        if flips:
+            line += _flip_note(workload, flips)
         lines.append(line)
     for row in result.get("interleave", []):
         pool = row["pool"]
@@ -411,7 +418,7 @@ def main(argv=None):
                     )
                 row["failed"] = {side: sorted({s[1] for s in samples[side]}) for side in samples}
                 row["attempted"] = samples["base"][0][2]
-                row["rss_mismatch_pairs"] = rss_mismatches(row)
+                row["rss_flip_sides"] = rss_flips(workload, row["metrics"])
                 result["runs"].append(row)
         for workload in {r["workload"] for r in result["runs"]}:
             rows = [r for r in result["runs"] if r["workload"] == workload]

@@ -30,10 +30,12 @@ zero entries, tied maxima, maxima one ulp apart, entries down to
 pairs, invalid vectors and orders, and a few vectors long enough (up to
 1e5) that every SIMD vector of an exp pass mixes normal,
 subnormal-result and zero-result lanes.  The CLI runs in process, on
-problem files written to a temporary directory.  Last come 40 solves
-with |alpha - beta| / beta log-uniform in [1e-12, 1e-8], drawn from a
-generator of their own, so that every line before them keeps its
-inputs whatever that block holds.
+problem files written to a temporary directory.  Then come 40 solves
+with |alpha - beta| / beta log-uniform in [1e-12, 1e-8], and last the
+calls on vectors of 3 * 65,536 + 7 entries, which `lne.numkit` passes
+over block by block; each of those two parts is drawn from a generator
+of its own, so that every line before it keeps its inputs whatever it
+holds.
 """
 
 from __future__ import annotations
@@ -332,6 +334,30 @@ def calls(seed, count):
         b = float(near.uniform(0.2, 5.0))
         a = b * (1.0 + float(10.0 ** near.uniform(-12.0, -8.0)) * near.choice([-1, 1]))
         yield _solve_call(near, n, m, a, b)
+
+    # vectors past three of numkit's 65,536-entry blocks, from a generator
+    # of their own, so that every line above keeps its inputs
+    yield from _block_calls(np.random.default_rng([seed, 2]))
+
+
+def _block_calls(rng):
+    """The long-vector calls on vectors of 3 * 65,536 + 7 entries, with
+    and without zeros, at orders whose exp passes raise lanes."""
+    from lne import crossent, entropy, numkit
+
+    n = 3 * 65_536 + 7
+    for w in (_long_vector(rng, n), rng.uniform(0.05, 1.0, n) ** 40.0):
+        p, q = w / w.sum(), rng.uniform(0.05, 1.0, n)
+        for gamma in (0.3, 2.0, 6.0):
+            yield "log_norm", numkit.log_norm, (w, gamma)
+            yield "escort", numkit.escort, (w, gamma)
+            yield "lne_min_entropy_limit", entropy.lne_min_entropy_limit, (w, gamma)
+            yield "renyi", entropy.renyi, (w, gamma)
+            yield "lne", lambda w, a, b: entropy.lne(w, (a, b)), (w, gamma, 1.7)
+            yield "lne", lambda w, a, b: entropy.lne(w, (a, b)), (w, gamma, gamma * (1 + 1e-7))
+            yield "tsallis", entropy.tsallis, (p, gamma)
+            yield "lnce", lambda p, q, a, b: crossent.lnce(p, q / q.sum(), (a, b)), (p, q, gamma, 1.3)
+            yield "lnce", lambda p, q, a, b: crossent.lnce(p, q / q.sum(), (a, b)), (p, q, gamma, 40.0)
 
 
 def _solve_call(rng, n, m, a, b):
