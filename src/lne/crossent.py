@@ -142,24 +142,23 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
 
     The scan and the log-space branch run block by block (`numkit._tree`):
     y is made a block at a time beside x, and u is written in x's place,
-    so that they hold one array of the support's size (and q gathered
-    onto p's support where p has zeros).  The expm1 branch holds x and a
-    whole y.  Its sum of the dropped escort is taken pairwise over
-    a * drop, a small block at a time."""
+    so that they hold one array of the support's size, with zeros in p
+    too.  The expm1 branch holds x and a whole y.  Its sum of the dropped
+    escort is taken pairwise over a * drop, a small block at a time."""
     alpha, beta = prm.alpha, prm.beta
     d = alpha - beta
     p, n = sup.w, sup.n
-    qs = q if n == p.size else q[p > 0]  # q on the support of p
     k = n
-    # q is nonnegative, so a minimum of 0 means a zero
-    if q_min > 0 or _min(qs) > 0:
+    # the zeros of q on p's support; q is nonnegative, so only a minimum
+    # of 0 means that q has a zero anywhere
+    drop = None if q_min > 0 else q == 0 if n == p.size else (q == 0)[p > 0]
+    if drop is None or not drop.any():
         drop = None
     else:
         if alpha >= beta:
             raise SupportError(int(np.flatnonzero((p > 0) & (q == 0))[0]))
         # a zero of q under the positive exponent beta - alpha drops its
         # state from the sum, but not from psi(beta)
-        drop = qs == 0
         k -= int(np.count_nonzero(drop))
         if not k:
             # alpha < beta with disjoint supports: the defining sum is
@@ -175,17 +174,17 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
         x, ybuf = np.empty(n), np.empty(_leaf(n))
         if abs(d) * lower + log_k <= _LOG_FLOAT_MAX:
             if n <= _BLOCK:
-                top, neg_bottom = _scan_block(sup, x, qs, ybuf, drop, 0, n)
+                top, neg_bottom = _scan_block(sup, x, q, ybuf, drop, 0, n)
+                y = ybuf  # the scan's one block is the whole of y
             else:
-                top, neg_bottom = _tree(n, _scan_block, sup, x, qs, ybuf, drop, join=max)
+                top, neg_bottom = _tree(n, _scan_block, sup, x, q, ybuf, drop, join=max)
             sup._x = x
-            if n <= _BLOCK:
-                y = ybuf  # the scan's one block
             expm1 = abs(d) * (top + neg_bottom) + log_k <= _LOG_FLOAT_MAX
     if expm1:
         x = sup.x
         if y is None:
             ybuf = None
+            qs = q if n == p.size else q[p > 0]  # q on the support of p
             y = _log_q(qs, drop, None if qs is q else qs)
             np.subtract(x, y, out=y)
             if drop is not None:
@@ -218,9 +217,9 @@ def _lnce(sup, q, q_min, q_max, prm) -> float:
         x = sup._build(x)
     # log(e . exp(d y)) + L(beta), from u = log(p^alpha q^-d) - beta m
     if n <= _BLOCK:
-        (s,) = _u_block(sup, x, y, qs, ybuf, drop, d, beta, not expm1, 0, n)
+        (s,) = _u_block(sup, x, y, q, ybuf, drop, d, beta, not expm1, 0, n)
     else:
-        (s,) = _tree(n, _u_block, sup, x, y, qs, ybuf, drop, d, beta, not expm1)
+        (s,) = _tree(n, _u_block, sup, x, y, q, ybuf, drop, d, beta, not expm1)
     u = y if y is not None else ybuf if n <= _BLOCK else x
     # x may hold u: an exact pass takes x from w again
     x = y = ybuf = sup._x = None
@@ -239,21 +238,22 @@ def _log_q(q, drop, out):
         return np.log(q, out=out)
 
 
-def _y_block(sup, x, qs, ybuf, drop, start, stop):
+def _y_block(sup, x, q, ybuf, drop, start, stop):
     """(x, y = x - log q) over the block of p's support, y in ybuf: x read
     where the support holds it, and taken from w into its place in x
     where it does not."""
+    qb = sup._on_support(q, start, stop)
     if stop - start < x.size:
-        x, qs, drop = x[start:stop], qs[start:stop], None if drop is None else drop[start:stop]
+        x, drop = x[start:stop], None if drop is None else drop[start:stop]
     xb = x if sup._x is not None else sup._log(start, stop, x)
-    yb = _log_q(qs, drop, ybuf[: stop - start] if ybuf.size > stop - start else ybuf)
+    yb = _log_q(qb, drop, ybuf[: stop - start] if ybuf.size > stop - start else ybuf)
     return xb, np.subtract(xb, yb, out=yb)
 
 
-def _scan_block(sup, x, qs, ybuf, drop, start, stop):
+def _scan_block(sup, x, q, ybuf, drop, start, stop):
     """(max y, -min y) over the block's kept states, a dropped one taking
     the value of the block's first kept one."""
-    yb = _y_block(sup, x, qs, ybuf, drop, start, stop)[1]
+    yb = _y_block(sup, x, q, ybuf, drop, start, stop)[1]
     if drop is not None:
         db = drop[start:stop]
         j = int(db.argmin())
@@ -269,12 +269,12 @@ def _masked_sum(a, drop, part, start, stop):
     return (float(np.add.reduce(np.multiply(a[start:stop], drop[start:stop], out=part[: stop - start]))),)
 
 
-def _u_block(sup, x, y, qs, ybuf, drop, d, beta, with_l_beta, start, stop):
+def _u_block(sup, x, y, q, ybuf, drop, d, beta, with_l_beta, start, stop):
     """(sum of the block's exp(beta x) with the maximum's lane zeroed, or 0
     without ``with_l_beta``,), with u = d y + beta x formed over the block:
     in y's place where y is whole, and otherwise in ybuf and then in x's
     place past one block."""
-    xb, yb = _y_block(sup, x, qs, ybuf, drop, start, stop) if y is None else (x[start:stop], y[start:stop])
+    xb, yb = _y_block(sup, x, q, ybuf, drop, start, stop) if y is None else (x[start:stop], y[start:stop])
     yb *= d
     xb *= beta
     yb += xb

@@ -389,6 +389,14 @@ class _LogSupport:
             return 0, self.w.size
         return self._find(start), self._find(stop)
 
+    def _on_support(self, v, start, stop) -> np.ndarray:
+        """The vector ``v`` of w's length over the support's entries
+        [start, stop): a view, or where w has zeros a copy of the block."""
+        if not self._zeros:
+            return v if stop - start == v.size else v[start:stop]
+        a, b = self._span(start, stop)
+        return v[a:b][self.w[a:b] > 0]
+
     def _log(self, start, stop, out=None) -> np.ndarray:
         """x over the support's entries [start, stop), taken from w into the
         head of ``out`` (a new array if None): log(w * 2**k) - top over a

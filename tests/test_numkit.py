@@ -225,7 +225,7 @@ class TestKernelMemory:
         tail = rng.random(n) < 0.25
         w[tail] = 10.0 ** rng.uniform(-200.0, -1.0, int(tail.sum()))
         w_zero = np.where(rng.random(n) < 0.1, 0.0, w)
-        p = w / w.sum()
+        p, p_zero = w / w.sum(), w_zero / w_zero.sum()
         q = rng.uniform(0.05, 1.0, n)
         q /= q.sum()
         q_zero = np.where(rng.random(n) < 0.3, 0.0, q)
@@ -244,6 +244,7 @@ class TestKernelMemory:
             "escort with zeros": lambda: escort(w_zero, 2.0),
             "lnce log space": lambda: lnce(p, q, (0.3, 6.0)),
             "lnce zero prior log space": lambda: lnce(p, q_zero, (0.3, 6.0)),
+            "lnce log space with zeros": lambda: lnce(p_zero, q, (0.3, 6.0)),
         }
         no_array = {
             "log_norm": lambda: log_norm(w, 0.3),
@@ -477,32 +478,33 @@ class TestBlocks:
                 assert escort(v, gamma).tobytes() == e.tobytes(), (name, gamma)
 
     def test_log_space_lnce_has_the_whole_array_bits(self):
-        v = self._vectors()["no zeros"]
-        p = v / v.sum()
-        q = np.random.default_rng(30).uniform(0.05, 1.0, v.size)
+        q = np.random.default_rng(30).uniform(0.05, 1.0, self.N)
         q /= q.sum()
-        q_zero = np.where(np.arange(v.size) % 5 == 1, 0.0, q)
+        q_zero = np.where(np.arange(self.N) % 5 == 1, 0.0, q)
         q_zero /= q_zero.sum()
-        for prior in (q, q_zero):
-            for alpha, beta in ((0.3, 6.0), (0.3, 2.0), (6.0, 0.3)):
-                if alpha > beta and not prior.all():
-                    continue
-                d = alpha - beta
-                sup, _, s = self._whole(p, beta, _exp_for_sum)
-                l_beta = math.log1p(s)
-                with np.errstate(divide="ignore"):
-                    y = sup.x - np.log(prior)
-                u = y * d + sup.x * beta
-                u[prior == 0.0] = -np.inf
-                top = int(u.argmax())
-                m = float(u[top])
-                xu = u - m
-                au = _exp_for_sum(xu, float(xu.min()))
-                au[top] = 0.0
-                want = beta * (m + math.log1p(np.add.reduce(au)) - l_beta) / d - l_beta
-                # far from the diagonal: the log-space branch
-                assert abs(d) * (y[prior > 0].max() - y[prior > 0].min()) > 709.8
-                assert float(lnce(p, prior, (alpha, beta))) == want, (alpha, beta, prior.all())
+        for name, v in self._vectors().items():
+            p = v / v.sum()
+            for prior in (q, q_zero):
+                qs = prior[v > 0]  # the prior on p's support
+                for alpha, beta in ((0.3, 6.0), (0.3, 2.0), (6.0, 0.3)):
+                    if alpha > beta and not qs.all():
+                        continue
+                    d = alpha - beta
+                    sup, _, s = self._whole(p, beta, _exp_for_sum)
+                    l_beta = math.log1p(s)
+                    with np.errstate(divide="ignore"):
+                        y = sup.x - np.log(qs)
+                    u = y * d + sup.x * beta
+                    u[qs == 0.0] = -np.inf
+                    top = int(u.argmax())
+                    m = float(u[top])
+                    xu = u - m
+                    au = _exp_for_sum(xu, float(xu.min()))
+                    au[top] = 0.0
+                    want = beta * (m + math.log1p(np.add.reduce(au)) - l_beta) / d - l_beta
+                    # far from the diagonal: the log-space branch
+                    assert abs(d) * (y[qs > 0].max() - y[qs > 0].min()) > 709.8
+                    assert float(lnce(p, prior, (alpha, beta))) == want, (name, alpha, beta, qs.all())
 
     def test_slope_families_match_mpmath(self):
         # a few distinct values keep the reference cheap at any length
