@@ -443,9 +443,8 @@ class _LogSupport:
         elif out is None:
             out = np.empty(x.size)
         a = exp(x, gamma * self.lo, out)
-        i = self.i - start
-        if 0 <= i < a.size:
-            a[i] = 0.0
+        if start <= self.i < stop:
+            a[self.i - start] = 0.0
         return a
 
     def _sum(self, gamma, exp) -> float:
@@ -537,8 +536,8 @@ class _LogSupport:
         by block too.  Past _BLOCK entries they may differ from whole-array
         dot products in the last bits.  Consumes x."""
         b, h = min(alpha, beta), abs(alpha - beta)
-        x = self._x = self._build()
         n = self.n
+        x = self._x = self._log(0, n) if n <= _BLOCK else self._build()
         buf = None if n <= _BLOCK else np.empty(_leaf(n))
         # the sum-only pass, and the exact one where it is not exact enough
         for exp in (_exp_for_sum, _exp_inplace):
@@ -583,11 +582,6 @@ class _LogSupport:
         return (_dot(a, np.expm1(x, out=x)),)
 
 
-def _escort(w, beta) -> np.ndarray:
-    """`escort` of the weight vector w at a checked order beta."""
-    return _LogSupport(w).escort(beta)
-
-
 def log_norm(w, gamma) -> float:
     """log of the gamma-norm, log[(sum_i w_i^gamma)^(1/gamma)].
 
@@ -605,7 +599,8 @@ def escort(w, beta) -> np.ndarray:
 
     Always a probability vector; zero entries of ``w`` stay zero.
     """
-    return _escort(w, _check_order(beta, "beta"))
+    beta = _check_order(beta, "beta")
+    return _LogSupport(w).escort(beta)
 
 
 def product_compose(p, q) -> np.ndarray:

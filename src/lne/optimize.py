@@ -51,7 +51,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
-from .numkit import _LOG_FLOAT_MAX, _as_params, _check_order, _escort, _LogSupport, _min, as_weights
+from .numkit import _LOG_FLOAT_MAX, _as_params, _check_order, _LogSupport, _min, as_weights
 from .qdeform import _log_q_exp
 
 __all__ = [
@@ -191,7 +191,8 @@ def normalized_q_expectation(w, g, q) -> float:
     Scale invariant in ``w``; the ordinary mean at q = 1 on probability
     vectors.
     """
-    e = _escort(w, _check_order(q, "q"))
+    q = _check_order(q, "q")
+    e = _LogSupport(w).escort(q)
     g = np.asarray(g, dtype=float)
     if g.shape != e.shape:
         raise ValueError(f"g has shape {g.shape}, expected {e.shape}")
@@ -333,7 +334,7 @@ def _solve_lagrange(cset, params, cfg, d, terms, branch, keep=None):
     if not p.all() and np.isfinite(sup.x[p == 0.0]).any():
         # a weight with a finite log underflowed (at tiny beta): the
         # residual is that of the returned p, not of the iterate
-        res_norm = float(np.max(np.abs(dg @ _escort(p, beta))))
+        res_norm = float(np.max(np.abs(dg @ _LogSupport(p).escort(beta))))
     converged = res_norm <= cfg.tol_residual
     states = [] if clamped is None else np.flatnonzero(clamped).tolist()
     if keep is not None:  # cut down to the prior's support: p back onto all states
